@@ -36,6 +36,8 @@ from renyi2.fock import (
     conditional_state_after_anticoalescence,
     hamiltonian_expansion,
     hamiltonian_four_photon_term,
+    outcome_curves,
+    phase_gram,
     spdc_four_photon_state,
     vacuum,
 )
@@ -97,6 +99,8 @@ __all__ = [
     "conditional_state_after_anticoalescence",
     "hamiltonian_expansion",
     "hamiltonian_four_photon_term",
+    "outcome_curves",
+    "phase_gram",
     "spdc_four_photon_state",
     "vacuum",
     "CountRecord",

@@ -35,6 +35,7 @@ _CONFIG_FIELDS = (
     "seed",
     "detector_model",
 )
+_REQUIRED_FIELDS = ("phi_grid", "shots_per_phase")
 
 
 def _fmt(x: float) -> str:
@@ -98,6 +99,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if n < 1:
         raise ValueError("phase grid is empty")
     return np.linspace(start, stop, n)
@@ -216,13 +219,12 @@ def cmd_simulate(args) -> int:
     unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+    missing = [f for f in _REQUIRED_FIELDS if f not in raw]
+    if missing:
+        raise ValueError(f"config is missing required field(s): {', '.join(missing)}")
     if args.seed is not None:
         raw["seed"] = args.seed
-    try:
-        config = RunConfig(**raw)
-    except TypeError:
-        missing = [f for f in ("phi_grid", "shots_per_phase") if f not in raw]
-        raise ValueError(f"config is missing required field(s): {', '.join(missing)}") from None
+    config = RunConfig(**raw)
 
     report = witness_from_run(config)
 

@@ -7,11 +7,13 @@ fit_interference performs the weighted cosine fit with the period fixed at
 pi, and witness_from_run strings the stages into a JSON-ready report.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .fock import coincidence_probabilities, spdc_four_photon_state
+from .fock import outcome_curves
 from .two_copy import CollisionProbabilities, entropic_witness
 
 CHANNELS = ("cc", "ca", "ac", "aa", "other")
@@ -28,7 +30,48 @@ MIN_SIGNIFICANCE = 3.0
 # detectors behind a polarizing splitter: a two-photon port registers as two
 # detectors only when the photons split H/V, probability 1/2 per side
 _BUCKET_KEEP = {"cc": 0.25, "ca": 0.5, "ac": 0.5}
-_BUCKET_CORRECTION = {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0}
+_CORRECTION_FACTORS = {
+    "number_resolving": dict.fromkeys(CHANNELS, 1.0),
+    "bucket_with_pbs": {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0},
+}
+
+# numpy's multinomial takes the shot count as a C long
+MAX_SHOTS = 2**63 - 1
+
+
+def _correction_factors(detector_model: str) -> dict[str, float]:
+    """Per-channel factors that undo the detector model's coalescence losses."""
+    try:
+        return _CORRECTION_FACTORS[detector_model]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}"
+        ) from None
+
+
+def _finite(name: str, x) -> float:
+    """x as a float; ValueError naming the field unless it is a finite real number."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return value
+
+
+def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
+    """x as an int in [lo, hi]; ValueError naming the field otherwise."""
+    if isinstance(x, Integral) and not isinstance(x, bool):
+        n = int(x)
+    else:
+        value = _finite(name, x)
+        n = int(value) if value.is_integer() else None
+    if n is None or not lo <= n <= hi:
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -43,24 +86,25 @@ class RunConfig:
     detector_model: str = "number_resolving"
 
     def __post_init__(self):
-        grid = tuple(float(p) for p in self.phi_grid)
+        grid = self.phi_grid
+        if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__"):
+            raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
+        grid = tuple(_finite("phi_grid entry", p) for p in grid)
         if not grid:
             raise ValueError("phi_grid is empty")
         object.__setattr__(self, "phi_grid", grid)
-        if int(self.shots_per_phase) != self.shots_per_phase or self.shots_per_phase < 1:
-            raise ValueError(f"shots_per_phase must be a positive integer, got {self.shots_per_phase}")
-        object.__setattr__(self, "shots_per_phase", int(self.shots_per_phase))
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if not 0.0 <= self.background_rate <= 1.0:
-            raise ValueError(f"background_rate must be in [0, 1], got {self.background_rate}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.detector_model not in DETECTOR_MODELS:
-            raise ValueError(
-                f"detector_model must be one of {DETECTOR_MODELS}, got {self.detector_model!r}"
-            )
+        shots = _integer(
+            "shots_per_phase", self.shots_per_phase, 1, MAX_SHOTS,
+            f"a positive integer no larger than {MAX_SHOTS}",
+        )
+        object.__setattr__(self, "shots_per_phase", shots)
+        for name in ("visibility", "background_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= _finite(name, value) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        seed = _integer("seed", self.seed, 0, 2**64 - 1, "a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", seed)
+        _correction_factors(self.detector_model)
 
     def as_dict(self) -> dict:
         return {
@@ -107,28 +151,32 @@ class CountRecord:
         }
 
 
-def outcome_distribution(phi: float, visibility: float, background_rate: float) -> np.ndarray:
-    """Five-class probabilities (cc, ca, ac, aa, other) under the noise model.
+def outcome_distributions(phi_grid, visibility: float, background_rate: float) -> np.ndarray:
+    """Five-class probabilities (cc, ca, ac, aa, other) under the noise model,
+    one row per phase.
 
     With probability `visibility` the event follows the ideal four-photon
     distribution at phi; otherwise the photons are distinguishable and each
     side coalesces independently with probability 1/2. A `background_rate`
     fraction of accidentals is uniform over the five classes.
     """
-    rec = coincidence_probabilities(spdc_four_photon_state(phi))
-    ideal = np.array([rec.cc, rec.ca, rec.ac, rec.aa, rec.other])
     flat = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
-    signal = visibility * ideal + (1.0 - visibility) * flat
+    signal = visibility * outcome_curves(phi_grid) + (1.0 - visibility) * flat
     return (1.0 - background_rate) * signal + background_rate * np.full(5, 0.2)
+
+
+def outcome_distribution(phi: float, visibility: float, background_rate: float) -> np.ndarray:
+    """The noise-mixed five-class probabilities at one phase."""
+    return outcome_distributions([phi], visibility, background_rate)[0]
 
 
 def simulate_counts(config: RunConfig) -> list[CountRecord]:
     """Draw the per-phase event table; deterministic for a fixed seed."""
+    table = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
     records = []
-    for k, phi in enumerate(config.phi_grid):
+    for k, (phi, probs) in enumerate(zip(config.phi_grid, table)):
         # one child stream per phase so the table is stable under grid reordering
         rng = np.random.default_rng([config.seed, k])
-        probs = outcome_distribution(phi, config.visibility, config.background_rate)
         counts = rng.multinomial(config.shots_per_phase, probs)
         if config.detector_model == "bucket_with_pbs":
             kept = [int(rng.binomial(counts[i], _BUCKET_KEEP[CHANNELS[i]])) for i in range(3)]
@@ -157,31 +205,40 @@ def estimate_probabilities(
     the detection factor (4, 2, 2) before normalization; the estimate of
     `other` then includes the lost coalescence events and is reported as-is.
     """
-    if detector_model not in DETECTOR_MODELS:
-        raise ValueError(f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}")
+    factors = _correction_factors(detector_model)
     if not counts:
         raise ValueError("empty count table")
-    factors = _BUCKET_CORRECTION if detector_model == "bucket_with_pbs" else dict.fromkeys(CHANNELS, 1.0)
-    cols: dict[str, tuple[list, list, list]] = {ch: ([], [], []) for ch in CHANNELS}
-    phis = []
-    for rec in counts:
-        n_total = rec.total
-        if n_total == 0:
-            raise ValueError(f"zero total counts at phi={rec.phi}")
-        phis.append(rec.phi)
-        for ch in CHANNELS:
-            n = getattr(rec, f"n_{ch}")
-            k = factors[ch]
-            q = n / n_total
-            vals, sigs, degs = cols[ch]
-            vals.append(k * q)
-            sigs.append(k * np.sqrt(q * (1.0 - q) / n_total))
-            degs.append(n == 0 or n == n_total)
-    phi_t = tuple(phis)
+    table = _count_table(counts)
+    n_total = table.sum(axis=1)
+    empty = np.flatnonzero(n_total == 0)
+    if empty.size:
+        raise ValueError(f"zero total counts at phi={counts[empty[0]].phi}")
+    phi = tuple(rec.phi for rec in counts)
     return {
-        ch: ChannelEstimate(phi_t, tuple(v), tuple(s), tuple(d))
-        for ch, (v, s, d) in cols.items()
+        ch: ChannelEstimate(
+            phi,
+            tuple((factors[ch] * (n / n_total)).tolist()),
+            tuple(_binomial_stderr(n, n_total, factors[ch]).tolist()),
+            tuple(((n == 0) | (n == n_total)).tolist()),
+        )
+        for ch, n in zip(CHANNELS, table.T)
     }
+
+
+def _count_table(counts: list[CountRecord]) -> np.ndarray:
+    """Event counts as a (phases, 5) integer array, columns in CHANNELS order."""
+    return np.array([[getattr(rec, f"n_{ch}") for ch in CHANNELS] for rec in counts])
+
+
+def _binomial_stderr(n: np.ndarray, n_total: np.ndarray, factor: float, shrunk: bool = False) -> np.ndarray:
+    """factor * sqrt(q (1 - q) / N) at the proportion q = n/N.
+
+    shrunk=True takes q = (n + 1/2)/(N + 1) instead, which keeps exact-zero
+    channels from acquiring infinite weight in a fit; reported estimates stay
+    at n/N.
+    """
+    q = (n + 0.5) / (n_total + 1.0) if shrunk else n / n_total
+    return factor * np.sqrt(q * (1.0 - q) / n_total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,17 +334,6 @@ def fit_interference(points) -> FitResult:
     )
 
 
-def _floored_sigma(counts: list[CountRecord], channel: str, factor: float) -> list[float]:
-    # shrunk proportion (n + 1/2)/(N + 1) keeps exact-zero channels from
-    # acquiring infinite weight in the fit; reported estimates stay at n/N
-    out = []
-    for rec in counts:
-        n, n_total = getattr(rec, f"n_{channel}"), rec.total
-        q = (n + 0.5) / (n_total + 1.0)
-        out.append(factor * float(np.sqrt(q * (1.0 - q) / n_total)))
-    return out
-
-
 def witness_from_run(config: RunConfig) -> dict:
     """Full pipeline: simulate, estimate, fit p_ac and p_aa, test the witness.
 
@@ -298,16 +344,14 @@ def witness_from_run(config: RunConfig) -> dict:
     """
     counts = simulate_counts(config)
     estimates = estimate_probabilities(counts, config.detector_model)
-    factors = (
-        _BUCKET_CORRECTION
-        if config.detector_model == "bucket_with_pbs"
-        else dict.fromkeys(CHANNELS, 1.0)
-    )
+    factors = _correction_factors(config.detector_model)
+    table = _count_table(counts)
+    n_total = table.sum(axis=1)
 
     fits = {}
     for ch in ("ac", "aa"):
         est = estimates[ch]
-        sig = _floored_sigma(counts, ch, factors[ch])
+        sig = _binomial_stderr(table[:, CHANNELS.index(ch)], n_total, factors[ch], shrunk=True)
         fits[ch] = fit_interference(zip(est.phi, est.value, sig))
 
     clamped = False

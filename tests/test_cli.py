@@ -241,6 +241,34 @@ def test_simulate_config_validation_messages(capsys, tmp_path):
     assert code != 0 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "raw_config, field",
+    [
+        ('{"phi_grid": [0, 1, 2, NaN], "shots_per_phase": 100}', "phi_grid"),
+        ('{"phi_grid": [0, 1, 2, Infinity], "shots_per_phase": 100}', "phi_grid"),
+        ('{"phi_grid": [0, 1, 2, 3], "shots_per_phase": Infinity}', "shots_per_phase"),
+        ('{"phi_grid": [0, 1, 2, 3], "shots_per_phase": 1e30}', "shots_per_phase"),
+        ('{"phi_grid": 1.5, "shots_per_phase": 100}', "phi_grid"),
+    ],
+    ids=["nan-phase", "infinite-phase", "infinite-shots", "huge-shots", "scalar-grid"],
+)
+def test_simulate_rejects_bad_config_with_one_error_line(capsys, tmp_path, raw_config, field):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(raw_config)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err and "missing" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_phase_scan_rejects_non_finite_grid_bounds(capsys):
+    for spec in ("nan:1:5", "0:inf:5"):
+        code, out, err = run_cli(capsys, "phase-scan", "--grid", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
+
 # -- entry point -------------------------------------------------------------------
 
 

@@ -2,17 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi2.experiment import (
     CHANNELS,
+    MAX_SHOTS,
     ChannelEstimate,
     CountRecord,
     RunConfig,
     estimate_probabilities,
     fit_interference,
     outcome_distribution,
+    outcome_distributions,
     simulate_counts,
     witness_from_run,
+    _correction_factors,
 )
 
 PI = np.pi
@@ -49,6 +54,48 @@ def test_run_config_validation():
         RunConfig(**ok, detector_model="photographic_plate")
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("phi_grid", (0.0, float("nan")), "finite"),
+        ("phi_grid", (0.0, float("inf")), "finite"),
+        ("phi_grid", 1.5, "phi_grid must be a sequence of numbers"),
+        ("phi_grid", "0.5", "phi_grid must be a sequence of numbers"),
+        ("phi_grid", (0.0, "1"), "phi_grid entry must be a number"),
+        ("shots_per_phase", float("inf"), "shots_per_phase must be finite"),
+        ("shots_per_phase", float("nan"), "shots_per_phase must be finite"),
+        ("shots_per_phase", 1e30, "shots_per_phase"),
+        ("shots_per_phase", MAX_SHOTS + 1, "shots_per_phase"),
+        ("shots_per_phase", 2.5, "positive integer"),
+        ("shots_per_phase", True, "shots_per_phase must be a number"),
+        ("visibility", float("nan"), "visibility must be finite"),
+        ("background_rate", "0.1", "background_rate must be a number"),
+        ("seed", float("inf"), "seed must be finite"),
+        ("seed", "7", "seed must be a number"),
+    ],
+)
+def test_run_config_rejects_non_finite_and_mistyped_fields(field, value, match):
+    fields = dict(phi_grid=(0.0, 1.0), shots_per_phase=10)
+    fields[field] = value
+    with pytest.raises(ValueError, match=match):
+        RunConfig(**fields)
+
+
+def test_run_config_normalizes_accepted_numbers():
+    cfg = RunConfig(phi_grid=np.array([0, 1]), shots_per_phase=MAX_SHOTS, seed=np.uint64(2**64 - 1))
+    assert cfg.phi_grid == (0.0, 1.0) and all(type(p) is float for p in cfg.phi_grid)
+    assert cfg.shots_per_phase == MAX_SHOTS and cfg.seed == 2**64 - 1
+    assert RunConfig(phi_grid=[0.5], shots_per_phase=2000.0).shots_per_phase == 2000
+
+
+def test_correction_factors_per_detector_model():
+    assert _correction_factors("number_resolving") == dict.fromkeys(CHANNELS, 1.0)
+    assert _correction_factors("bucket_with_pbs") == {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0}
+    for bad in ("kaleidoscope", None, ["bucket_with_pbs"]):
+        with pytest.raises(ValueError, match="detector_model"):
+            _correction_factors(bad)
+
+
 def test_count_record_validation():
     rec = CountRecord(0.5, 10, 0, 0, 5, 1)
     assert rec.total == 16
@@ -67,6 +114,26 @@ def test_outcome_distribution_mixture_limits():
     assert np.allclose(flat, [0.25, 0.25, 0.25, 0.25, 0.0], atol=1e-12)
     bg = outcome_distribution(0.7, 1.0, 1.0)
     assert np.allclose(bg, [0.2] * 5, atol=1e-12)
+
+
+def test_outcome_distribution_is_a_row_of_the_grid_form():
+    grid = np.linspace(-1.0, 4.0, 11)
+    table = outcome_distributions(grid, 0.9, 0.05)
+    assert table.shape == (11, 5)
+    for phi, row in zip(grid, table):
+        assert np.array_equal(outcome_distribution(phi, 0.9, 0.05), row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=st.floats(allow_nan=False, allow_infinity=False),
+    visibility=st.floats(min_value=0.0, max_value=1.0),
+    background=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_mixed_distribution_is_a_probability_vector(phi, visibility, background):
+    probs = outcome_distribution(phi, visibility, background)
+    assert np.all(probs >= 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_simulate_counts_deterministic_and_complete():

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,11 @@ from renyi2.fock import (
     conditional_state_after_anticoalescence,
     hamiltonian_expansion,
     hamiltonian_four_photon_term,
+    outcome_curves,
+    phase_gram,
     spdc_four_photon_state,
     vacuum,
+    _check_phase_gram,
     _kdag,
     _ldag,
     _VACUUM_KEY,
@@ -352,6 +358,80 @@ def test_spurious_terms_vanish_at_marked_phases():
         spurious = FockState({k: v / np.sqrt(6.0) for k, v in out.items()})
         rec = coincidence_probabilities(spurious).as_dict()
         assert abs(rec[channel]) < 1e-12, (phi, channel)
+
+
+# -- phase-Gram form -----------------------------------------------------------
+
+
+def fock_oracle(grid):
+    rows = []
+    for phi in grid:
+        rec = coincidence_probabilities(spdc_four_photon_state(phi))
+        rows.append([rec.cc, rec.ca, rec.ac, rec.aa, rec.other])
+    return np.array(rows)
+
+
+def test_gram_curves_match_fock_oracle_on_dense_grid():
+    grid = np.linspace(0.0, PI, 181)
+    assert np.max(np.abs(outcome_curves(grid) - fock_oracle(grid))) <= 1e-15
+
+
+def test_gram_curves_match_fock_oracle_on_random_phases():
+    grid = np.random.default_rng(4242).uniform(-2.0 * PI, 4.0 * PI, 300)
+    assert np.max(np.abs(outcome_curves(grid) - fock_oracle(grid))) <= 1e-15
+
+
+def test_coincidence_curves_rows_follow_the_gram_curves():
+    grid = [0.0, 0.3, PI / 2]
+    want = outcome_curves(grid)
+    for (phi, *probs), row, p in zip(coincidence_curves(grid), want, grid):
+        assert phi == p
+        assert probs == list(row[:4])
+
+
+def test_phase_gram_is_cached_and_read_only():
+    assert phase_gram() is phase_gram()
+    with pytest.raises(ValueError):
+        phase_gram()[0, 0, 0] = 1.0
+
+
+def test_phase_gram_is_not_built_at_import():
+    code = "import renyi2.cli, renyi2.fock as f; print(f.phase_gram.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_phase_gram_check_rejects_a_non_hermitian_matrix():
+    gram = np.array(phase_gram())
+    gram[3, 0, 2] += 1e-3
+    with pytest.raises(ValueError, match="Hermitian"):
+        _check_phase_gram(gram)
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 2)])
+def test_phase_gram_check_rejects_an_e_i_phi_coupling(entry):
+    gram = np.array(phase_gram())
+    j, k = entry
+    gram[0, j, k] += 1e-3j
+    gram[0, k, j] -= 1e-3j  # stays Hermitian, so only the coupling check can fire
+    with pytest.raises(ValueError, match="coupling"):
+        _check_phase_gram(gram)
+
+
+def test_phase_gram_check_rejects_weight_on_other():
+    gram = np.array(phase_gram())
+    gram[4, 1, 1] = 1e-3
+    with pytest.raises(ValueError, match="OTHER"):
+        _check_phase_gram(gram)
+
+
+def test_outcome_curves_reject_empty_and_non_finite_grids():
+    with pytest.raises(ValueError, match="empty"):
+        outcome_curves([])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            outcome_curves([0.0, bad])
 
 
 def test_completeness_on_random_states():
