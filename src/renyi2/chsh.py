@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from renyi2 import _kernels
-from renyi2.qstate import DensityOperator
+from renyi2.qstate import DensityOperator, _require_finite
 
 PAULI = np.array(
     [
@@ -25,6 +25,9 @@ PAULI = np.array(
     ]
 )
 PAULI.setflags(write=False)
+# PAULI_PAIRS[i, j] = sigma_i kron sigma_j
+PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(3, 3, 4, 4)
+PAULI_PAIRS.setflags(write=False)
 
 ENTRY_TOL = 1e-10
 
@@ -47,6 +50,7 @@ class CorrelationMatrix:
         t = np.asarray(self.t, dtype=float)
         if t.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
+        _require_finite("correlation matrix t", t)
         worst = float(np.max(np.abs(t)))
         if worst > 1.0 + ENTRY_TOL:
             raise ValueError(f"correlation entries must lie in [-1, 1], max |t| = {worst}")
@@ -63,11 +67,7 @@ def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
         raise ValueError(
             f"dimension mismatch: need a 2x2 state, got {rho.dim_a} x {rho.dim_b}"
         )
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(rho.matrix @ np.kron(PAULI[i], PAULI[j])).real
-    return CorrelationMatrix(t)
+    return CorrelationMatrix(np.einsum("ijkl,lk->ij", PAULI_PAIRS, rho.matrix).real)
 
 
 def max_chsh(rho: DensityOperator) -> float:

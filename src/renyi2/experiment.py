@@ -283,21 +283,22 @@ def fit_interference(points) -> FitResult:
     phi = np.array([p for p, _, _ in pts])
     y = np.array([v for _, v, _ in pts])
     sig = np.array([s for _, _, s in pts])
-    if np.any(sig <= 0.0):
+    if not np.all(sig > 0.0):  # refuses NaN too
         raise ValueError("standard errors must be positive")
 
     x = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    w = 1.0 / sig**2
-    a_mat = x.T @ (w[:, None] * x)
-    # checked before the span so a fully collapsed grid reports as degeneracy
-    cond = np.linalg.cond(a_mat)
+    # judged on the phase geometry alone, as the weights can span decades at
+    # large N; checked before the span so a collapsed grid reports as degeneracy
+    cond = np.linalg.cond(x.T @ x)
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ValueError(f"degenerate design matrix (condition number {cond:.3e})")
     span = phi.max() - phi.min()
     if span < np.pi / 2 - 1e-12:
         raise ValueError(f"points span {span:.6g} rad, need at least half a period (pi/2)")
-    beta = np.linalg.solve(a_mat, x.T @ (w * y))
-    cov = np.linalg.inv(a_mat)
+    # SVD of the whitened design: the normal equations would square its condition
+    u, s, vt = np.linalg.svd(x / sig[:, None], full_matrices=False)
+    beta = vt.T @ ((u.T @ (y / sig)) / s)
+    cov = (vt.T / s**2) @ vt
 
     c0, ca, sa = beta
     amplitude = float(np.hypot(ca, sa))
@@ -319,7 +320,7 @@ def fit_interference(points) -> FitResult:
         grad = np.array([1.0, -ca / amplitude, -sa / amplitude])
     else:
         grad = np.array([1.0, -1.0, 0.0])
-    min_err = float(np.sqrt(grad @ cov @ grad))
+    min_err = float(np.linalg.norm((vt @ grad) / s))
 
     n = len(locations)
     return FitResult(

@@ -25,7 +25,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator
+from renyi2.qstate import DensityOperator, _require_finite
 
 NORM_TOL = 1e-10
 DEFAULT_CAP = 4
@@ -101,6 +101,7 @@ class FockState:
             a = complex(amp)
             if a != 0:
                 amps[occ] = a
+        _require_finite("amplitudes", list(amps.values()))
         if normalized:
             nrm = sum(abs(a) ** 2 for a in amps.values())
             if abs(nrm - 1.0) > NORM_TOL:
@@ -367,6 +368,8 @@ class CoincidenceRecord:
 
     def __post_init__(self):
         vals = (self.cc, self.ca, self.ac, self.aa, self.other)
+        for name, v in zip(("cc", "ca", "ac", "aa", "other"), vals):
+            _require_finite(name, v)
         if min(vals) < -1e-12:
             raise ValueError(f"negative probability in {vals}")
         total = sum(vals)

@@ -18,6 +18,13 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+def _require_finite(name: str, values) -> None:
+    """ValueError naming the field unless every entry is finite: NaN passes any `x > tol`."""
+    a = np.asarray(values)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Validated trace-one Hermitian PSD matrix on a dim_a x dim_b system.
@@ -41,6 +48,7 @@ class DensityOperator:
             raise ValueError(
                 f"dimension mismatch: matrix shape {m.shape}, expected ({d}, {d})"
             )
+        _require_finite("matrix", m)
         herm_defect = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
         if herm_defect > HERMITICITY_TOL:
             raise ValueError(

@@ -96,40 +96,28 @@ class CollisionProbabilities:
         return (self.p_cc, self.p_ca, self.p_ac, self.p_aa)
 
 
-@lru_cache(maxsize=None)
-def _collision_operators(dim_a: int, dim_b: int):
-    """The four (P_X on A copies) kron (P_Y on B copies) operators, X,Y in {S,A}."""
-    pa = projectors(dim_a)
-    pb = projectors(dim_b)
-    return tuple(
-        np.kron(px, py)
-        for px in (pa.p_sym, pa.p_anti)
-        for py in (pb.p_sym, pb.p_anti)
-    )
-
-
 def collision_probabilities(rho: DensityOperator) -> CollisionProbabilities:
-    """The four traces Tr[(P_X kron P_Y)(rho kron rho)], X,Y in {S,A}.
+    """The four traces Tr[(P_X kron P_Y)(rho kron rho)], X,Y in {S,A}, in closed form.
 
-    The double copy lives on (A1 B1 A2 B2); the copies of each side are made
-    adjacent internally before the projectors are applied.
+    Expanding P_S,A = (I +- SWAP)/2 on each side leaves the swap traces
+    A = tr rho_A^2, B = tr rho_B^2 and J = tr rho^2 (both sides swapped), so
+    p_cc = (1+A+B+J)/4, p_ca = (1+A-B-J)/4, p_ac = (1-A+B-J)/4, p_aa = (1-A-B+J)/4.
+    The explicit trace over `projectors` is the definition the tests check against.
     """
     if rho.dim_a < 2 or rho.dim_b < 2:
         raise ValueError(
             f"dimension mismatch: need a bipartite state with both local "
             f"dimensions >= 2, got {rho.dim_a} x {rho.dim_b}"
         )
-    da, db = rho.dim_a, rho.dim_b
-    x = np.kron(rho.matrix, rho.matrix)
-    # reorder (A1 B1 A2 B2) -> (A1 A2 B1 B2) on both row and column indices
-    x = (
-        x.reshape(da, db, da, db, da, db, da, db)
-        .transpose(0, 2, 1, 3, 4, 6, 5, 7)
-        .reshape(x.shape)
+    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    # tr X^2 = sum |X_ij|^2 for Hermitian X
+    j, a, b = (
+        float(np.vdot(x, x).real)
+        for x in (rho.matrix, np.einsum("abcb->ac", r), np.einsum("abad->bd", r))
     )
-    ss, sa, as_, aa = _collision_operators(da, db)
-    trace = lambda op: float(np.einsum("ij,ji->", op, x).real)
-    return CollisionProbabilities(trace(ss), trace(sa), trace(as_), trace(aa))
+    return CollisionProbabilities(
+        (1 + a + b + j) / 4, (1 + a - b - j) / 4, (1 - a + b - j) / 4, (1 - a - b + j) / 4
+    )
 
 
 def purities_from_probabilities(

@@ -29,6 +29,8 @@ from renyi2.fock import (
 from renyi2.qstate import SINGLET_VEC, partial_trace, purity, ppt_min_eigenvalue, random_density, singlet, werner
 from renyi2.two_copy import collision_probabilities, entropic_witness, purities_from_probabilities
 
+from oracles import projector_collision_probabilities
+
 PI = np.pi
 
 
@@ -67,7 +69,11 @@ def test_criterion_2_purity_closure_on_random_states():
         rng = np.random.default_rng(20260815)
         for i in range(1000):
             rho = random_density(2, 2, rng, components=1 + i % 4)
-            rec = purities_from_probabilities(collision_probabilities(rho))
+            p = collision_probabilities(rho)
+            # the explicit two-copy trace, so the closure is not a tautology
+            oracle = projector_collision_probabilities(rho)
+            assert max(abs(c - o) for c, o in zip(p.as_tuple(), oracle)) < 1e-12
+            rec = purities_from_probabilities(p)
             direct = (
                 purity(rho),
                 purity(partial_trace(rho, "A")),

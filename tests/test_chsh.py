@@ -10,6 +10,8 @@ from renyi2.chsh import (
 )
 from renyi2.qstate import make_density, random_density, singlet, tensor, werner
 
+from oracles import kron_correlation_matrix
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -40,6 +42,22 @@ def test_correlation_matrix_rejects_wrong_dimensions():
 def test_correlation_matrix_validation():
     with pytest.raises(ValueError, match="\\[-1, 1\\]"):
         CorrelationMatrix(1.5 * np.eye(3))
+
+
+def test_correlation_matrix_rejects_nan():
+    # this used to reach the SVD and raise "SVD did not converge"
+    t = np.eye(3) * 0.5
+    t[1, 2] = np.nan
+    with pytest.raises(ValueError, match="correlation matrix t must be finite"):
+        CorrelationMatrix(t)
+
+
+def test_correlation_matrix_matches_kron_oracle_on_random_states():
+    # sixteen products of magnitude <= 1 per entry: agreement to a few ulp
+    rng = np.random.default_rng(909)
+    for _ in range(200):
+        rho = random_density(2, 2, rng, components=int(rng.integers(1, 6)))
+        assert np.max(np.abs(correlation_matrix(rho).t - kron_correlation_matrix(rho))) < 1e-14
 
 
 def test_max_chsh_singlet_reaches_tsirelson():

@@ -105,6 +105,15 @@ def test_purity_rejects_malformed_matrix_file(capsys, tmp_path):
     assert code != 0 and "malformed" in err
 
 
+def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
+    # Python's json reads NaN; this used to fail later, as "p_cc = nan outside [0, 1]"
+    f = tmp_path / "nan.json"
+    f.write_text('{"dim_a": 2, "dim_b": 2, "matrix": [[NaN,0,0,0],[0,0.5,0,0],[0,0,0.5,0],[0,0,0,0]]}')
+    code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "matrix must be finite" in err
+
+
 # -- werner-scan ------------------------------------------------------------------
 
 
@@ -260,6 +269,30 @@ def test_simulate_rejects_bad_config_with_one_error_line(capsys, tmp_path, raw_c
     assert err.startswith("error:") and err.count("\n") == 1
     assert field in err and "missing" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_fits_at_maximal_shots(capsys, tmp_path):
+    # at N = 2**63 - 1 a zero count makes the fit weights span ~18 decades;
+    # the phase geometry is sound, so the run must not be refused as degenerate
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "phi_grid": [0, 0.8, 1.6, 2.4],
+        "shots_per_phase": 2**63 - 1,
+        "detector_model": "bucket_with_pbs",
+    }))
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+    assert code == 0 and err == ""
+    fits = json.loads((out_dir / "report.json").read_text())["fits"]
+    for fit in fits.values():
+        for key in ("offset", "amplitude", "phase_origin", "residual_rms"):
+            assert np.isfinite(fit[key])
+        for key in ("minima_values", "minima_stderr"):
+            assert fit[key] and np.all(np.isfinite(fit[key]))
+        assert min(fit["minima_stderr"]) >= 0.0
+    # ideal source: the raw minima are 0 (p_ac) and 0.4 * 1/4 (p_aa)
+    assert abs(fits["p_ac"]["minima_values"][0]) < 1e-6
+    assert abs(fits["p_aa"]["minima_values"][0] - 0.1) < 1e-6
 
 
 def test_phase_scan_rejects_non_finite_grid_bounds(capsys):

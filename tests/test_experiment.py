@@ -280,6 +280,8 @@ def test_fit_input_validation():
         fit_interference(pts3)
     with pytest.raises(ValueError, match="positive"):
         fit_interference([(p, 1.0, 0.0) for p in GRID25[:5]])
+    with pytest.raises(ValueError, match="positive"):
+        fit_interference([(p, 1.0, np.nan) for p in GRID25[:5]])
     with pytest.raises(ValueError, match="condition"):
         fit_interference([(0.3, 1.0, 0.1)] * 5)
     with pytest.raises(ValueError, match="half a period"):

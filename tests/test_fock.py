@@ -82,6 +82,10 @@ def test_fock_state_validation():
         FockState({(-1, 1, 0, 0, 0, 0, 0, 0): 1.0})
     # unnormalized intermediates are fine when flagged
     FockState({_VACUUM_KEY: 0.5}, normalized=False)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        for normalized in (True, False):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                FockState({_VACUUM_KEY: bad}, normalized=normalized)
 
 
 # -- creation operators -------------------------------------------------------
@@ -448,6 +452,10 @@ def test_completeness_on_random_states():
 def test_coincidence_record_validation():
     with pytest.raises(ValueError, match="sum"):
         CoincidenceRecord(0.5, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="cc must be finite"):
+        CoincidenceRecord(np.nan, 0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="other must be finite"):
+        CoincidenceRecord(0.0, 0.0, 0.0, 0.0, np.inf)
 
 
 # -- conditional state after anticoalescence ----------------------------------

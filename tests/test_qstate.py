@@ -39,6 +39,18 @@ def test_make_density_rejects_negative_eigenvalue():
         make_density(m, 2, 2)
 
 
+def test_make_density_rejects_nan_entry_that_passes_the_tolerance_checks():
+    # NaN compares False against every tolerance, so this used to be accepted
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        make_density(np.diag([np.nan, 0.5, 0.5, 0.0]), 2, 2)
+
+
+def test_make_density_rejects_all_nan_matrix_before_the_eigensolver():
+    # this used to reach eigvalsh and raise numpy's LinAlgError
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        make_density(np.full((4, 4), np.nan), 2, 2)
+
+
 def test_make_density_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         make_density(np.eye(4) / 4.0, 2, 3)

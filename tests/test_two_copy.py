@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi2.qstate import (
     make_density,
@@ -17,6 +19,8 @@ from renyi2.two_copy import (
     projectors,
     purities_from_probabilities,
 )
+
+from oracles import projector_collision_probabilities
 
 SQRT3 = np.sqrt(3.0)
 
@@ -64,6 +68,21 @@ def test_collision_probabilities_maximally_mixed():
     got = collision_probabilities(make_density(np.eye(4) / 4.0, 2, 2)).as_tuple()
     want = (9.0 / 16.0, 3.0 / 16.0, 3.0 / 16.0, 1.0 / 16.0)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim_a=st.sampled_from([2, 3, 4]),
+    dim_b=st.sampled_from([2, 3, 4]),
+    components=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_closed_form_matches_projector_trace(dim_a, dim_b, components, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim_a, dim_b, rng, components=min(components, dim_a * dim_b))
+    got = collision_probabilities(rho).as_tuple()
+    want = projector_collision_probabilities(rho)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
 
 
 def test_collision_probabilities_reject_monopartite():
