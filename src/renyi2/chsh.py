@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from renyi2 import _kernels
-from renyi2.qstate import DensityOperator, _require_finite
+from renyi2.qstate import DensityOperator, _require_all, _require_finite
 
 PAULI = np.array(
     [
@@ -50,30 +50,52 @@ class CorrelationMatrix:
         t = np.asarray(self.t, dtype=float)
         if t.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
-        _require_finite("correlation matrix t", t)
-        worst = float(np.max(np.abs(t)))
-        if worst > 1.0 + ENTRY_TOL:
-            raise ValueError(f"correlation entries must lie in [-1, 1], max |t| = {worst}")
-        smax = float(np.linalg.svd(t, compute_uv=False)[0])
-        if smax > 1.0 + ENTRY_TOL:
-            raise ValueError(f"largest singular value {smax} exceeds 1")
+        _check_correlations(t[None], stacked=False)
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
 
 
+def _check_correlations(t: np.ndarray, stacked: bool) -> np.ndarray:
+    """CorrelationMatrix checks on an (n, 3, 3) stack; returns its singular values (n, 3)."""
+    _require_finite("correlation matrix t", t, stacked)
+    worst = np.abs(t).max(axis=(1, 2))
+    _require_all(
+        worst <= 1.0 + ENTRY_TOL,
+        lambda i: f"correlation entries must lie in [-1, 1], max |t| = {worst[i]}",
+        stacked,
+    )
+    s = np.linalg.svd(t, compute_uv=False)
+    _require_all(
+        s[:, 0] <= 1.0 + ENTRY_TOL, lambda i: f"largest singular value {s[i, 0]} exceeds 1", stacked
+    )
+    return s
+
+
+def _pauli_correlations(matrices, dim_a: int, dim_b: int) -> np.ndarray:
+    """t_ij = Tr(rho sigma_i kron sigma_j) of each member of an (n, 4, 4) stack."""
+    if (dim_a, dim_b) != (2, 2):
+        raise ValueError(f"dimension mismatch: need a 2x2 state, got {dim_a} x {dim_b}")
+    return np.einsum("ijkl,nlk->nij", PAULI_PAIRS, matrices).real
+
+
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
     """The nine Pauli correlation traces of a two-qubit state."""
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(
-            f"dimension mismatch: need a 2x2 state, got {rho.dim_a} x {rho.dim_b}"
-        )
-    return CorrelationMatrix(np.einsum("ijkl,lk->ij", PAULI_PAIRS, rho.matrix).real)
+    return CorrelationMatrix(_pauli_correlations(rho.matrix[None], rho.dim_a, rho.dim_b)[0])
 
 
 def max_chsh(rho: DensityOperator) -> float:
     """Maximal CHSH value over all settings; > 2 signals violation, cap 2*sqrt(2)."""
-    s = np.linalg.svd(correlation_matrix(rho).t, compute_uv=False)
-    return float(2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2))
+    return float(max_chsh_values(rho.matrix[None], rho.dim_a, rho.dim_b)[0])
+
+
+def max_chsh_values(matrices, dim_a: int, dim_b: int) -> np.ndarray:
+    """max_chsh of each member of a validated (n, 4, 4) stack of two-qubit states.
+
+    One batched SVD of the correlation tensors runs the CorrelationMatrix
+    checks (a failure names the index) and gives 2*sqrt(s1^2 + s2^2).
+    """
+    s = _check_correlations(_pauli_correlations(matrices, dim_a, dim_b), stacked=True)
+    return 2.0 * np.sqrt(s[:, 0] ** 2 + s[:, 1] ** 2)
 
 
 def max_chsh_settings(rho: DensityOperator, refine_rounds: int = REFINE_ROUNDS) -> float:

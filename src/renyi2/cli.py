@@ -13,19 +13,26 @@ import sys
 
 import numpy as np
 
-from .chsh import max_chsh
+from .chsh import max_chsh_values
 from .experiment import RunConfig, witness_from_run
 from .fock import coincidence_curves
 from .qstate import (
     DensityOperator,
     make_density,
     partial_trace,
-    ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     purity,
     singlet,
     werner,
+    werner_stack,
 )
-from .two_copy import collision_probabilities, entropic_witness, purities_from_probabilities
+from .two_copy import (
+    collision_probabilities,
+    collision_quadruples,
+    entropic_witness,
+    purities_from_probabilities,
+    witness_margins,
+)
 
 _CONFIG_FIELDS = (
     "phi_grid",
@@ -168,27 +175,21 @@ def cmd_werner_scan(args) -> int:
         raise ValueError(f"bad range: need 0 <= pmin < pmax <= 1, got [{args.pmin}, {args.pmax}]")
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
-    rows = []
-    for p in np.linspace(args.pmin, args.pmax, args.steps):
-        rho = werner(float(p))
-        margin = entropic_witness(collision_probabilities(rho)).margin_a
-        rows.append(
-            {
-                "p": float(p),
-                "ppt_min_eig": float(ppt_min_eigenvalue(rho)),
-                "entropic_margin": float(margin),
-                "max_chsh": float(max_chsh(rho)),
-            }
-        )
+    ps = np.linspace(args.pmin, args.pmax, args.steps)
+    states = werner_stack(ps)
+    columns = (
+        ps,
+        ppt_min_eigenvalues(states, 2, 2),
+        witness_margins(collision_quadruples(states, 2, 2))[:, 0],
+        max_chsh_values(states, 2, 2),
+    )
+    keys = ("p", "ppt_min_eig", "entropic_margin", "max_chsh")
+    rows = [dict(zip(keys, values)) for values in zip(*(c.tolist() for c in columns))]
     if args.format == "json":
         _emit(_canonical_json(rows), args.out)
     else:
-        header = "p,ppt_min_eig,entropic_margin,max_chsh"
-        body = [
-            [_fmt(r["p"]), _fmt(r["ppt_min_eig"]), _fmt(r["entropic_margin"]), _fmt(r["max_chsh"])]
-            for r in rows
-        ]
-        _emit(_csv(header, body), args.out)
+        body = [[_fmt(r[k]) for k in keys] for r in rows]
+        _emit(_csv(",".join(keys), body), args.out)
     return 0
 
 

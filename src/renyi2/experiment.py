@@ -14,6 +14,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .fock import outcome_curves
+from .qstate import _require_finite
 from .two_copy import CollisionProbabilities, entropic_witness
 
 CHANNELS = ("cc", "ca", "ac", "aa", "other")
@@ -283,6 +284,8 @@ def fit_interference(points) -> FitResult:
     phi = np.array([p for p, _, _ in pts])
     y = np.array([v for _, v, _ in pts])
     sig = np.array([s for _, _, s in pts])
+    _require_finite("phi", phi)
+    _require_finite("y", y)
     if not np.all(sig > 0.0):  # refuses NaN too
         raise ValueError("standard errors must be positive")
 

@@ -138,19 +138,16 @@ def vacuum(cap: int = DEFAULT_CAP) -> FockState:
 def apply_creation(state: FockState, mode: ModeIndex) -> FockState:
     """Creation operator on one mode; returns an unnormalized state.
 
-    Raises when any resulting occupation would exceed the cap.
+    Raises when any resulting occupation would exceed the cap; otherwise it
+    is the truncating `_create` below, which then drops nothing.
     """
     idx = mode.flat
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.amplitudes.items():
-        n = occ[idx]
-        if n + 1 > state.cap:
+    for occ in state.amplitudes:
+        if occ[idx] + 1 > state.cap:
             raise ValueError(
                 f"photon cap {state.cap} exceeded: creation on mode {mode} of {occ}"
             )
-        key = occ[:idx] + (n + 1,) + occ[idx + 1 :]
-        out[key] = out.get(key, 0j) + amp * sqrt(n + 1)
-    return FockState(out, normalized=False, cap=state.cap)
+    return FockState(_create(state.amplitudes, idx, state.cap), normalized=False, cap=state.cap)
 
 
 # -- raw-dict operator algebra (internal) ------------------------------------

@@ -18,11 +18,67 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
-def _require_finite(name: str, values) -> None:
+def _require_all(ok, message, stacked: bool) -> None:
+    """ValueError(message(i)) for the first member i whose flag in ok is False.
+
+    In a stack the message names the index; a single value keeps it bare.
+    """
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValueError(f"stack index {i}: {message(i)}" if stacked else message(i))
+
+
+def _require_finite(name: str, values, stacked: bool = False) -> None:
     """ValueError naming the field unless every entry is finite: NaN passes any `x > tol`."""
     a = np.asarray(values)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite, got {a[~np.isfinite(a)][0]}")
+    a = a if stacked else a[None]
+    ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    # the first non-finite entry in C order belongs to the first bad member
+    _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
+
+
+def _validated(matrices, dim_a: int, dim_b: int, stacked: bool) -> np.ndarray:
+    """Read-only complex copy of one matrix, or of an (n, d, d) stack, once every
+    density-operator check has passed on every member (one batched eigvalsh)."""
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError(f"dimensions must be positive integers, got {dim_a} x {dim_b}")
+    m = np.array(matrices, dtype=complex)
+    d = dim_a * dim_b
+    if m.ndim != 2 + stacked or m.shape[-2:] != (d, d):
+        want = f"(n, {d}, {d})" if stacked else f"({d}, {d})"
+        raise ValueError(f"dimension mismatch: matrix shape {m.shape}, expected {want}")
+    s = m if stacked else m[None]
+    _require_finite("matrix", m, stacked)
+    herm = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    _require_all(
+        herm <= HERMITICITY_TOL,
+        lambda i: f"not Hermitian: max |M - M^dag| = {herm[i]:.3e} exceeds {HERMITICITY_TOL:.0e}",
+        stacked,
+    )
+    trace = np.abs(np.trace(s, axis1=1, axis2=2) - 1.0)
+    _require_all(
+        trace <= TRACE_TOL,
+        lambda i: f"trace is not 1: |Tr M - 1| = {trace[i]:.3e} exceeds {TRACE_TOL:.0e}",
+        stacked,
+    )
+    min_eig = np.linalg.eigvalsh(s)[:, 0]
+    _require_all(
+        min_eig >= -PSD_TOL,
+        lambda i: f"not positive semidefinite: min eigenvalue {min_eig[i]:.3e} below -{PSD_TOL:.0e}",
+        stacked,
+    )
+    m.setflags(write=False)
+    return m
+
+
+def density_stack(matrices, dim_a: int, dim_b: int) -> np.ndarray:
+    """Validate an (n, d, d) stack of density matrices on dim_a x dim_b at once.
+
+    Runs the DensityOperator checks on every member and returns the stack as a
+    read-only complex array, the input the stacked kernels take. A failure
+    names the invariant and the index of the first member that breaks it.
+    """
+    return _validated(matrices, dim_a, dim_b, stacked=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,35 +94,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError(
-                f"dimensions must be positive integers, got {self.dim_a} x {self.dim_b}"
-            )
-        m = np.array(self.matrix, dtype=complex)
-        d = self.dim_a * self.dim_b
-        if m.shape != (d, d):
-            raise ValueError(
-                f"dimension mismatch: matrix shape {m.shape}, expected ({d}, {d})"
-            )
-        _require_finite("matrix", m)
-        herm_defect = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
-        if herm_defect > HERMITICITY_TOL:
-            raise ValueError(
-                f"not Hermitian: max |M - M^dag| = {herm_defect:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e}"
-            )
-        trace_defect = abs(complex(m.trace()) - 1.0)
-        if trace_defect > TRACE_TOL:
-            raise ValueError(
-                f"trace is not 1: |Tr M - 1| = {trace_defect:.3e} exceeds {TRACE_TOL:.0e}"
-            )
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -PSD_TOL:
-            raise ValueError(
-                f"not positive semidefinite: min eigenvalue {min_eig:.3e} "
-                f"below -{PSD_TOL:.0e}"
-            )
-        m.setflags(write=False)
+        m = _validated(self.matrix, self.dim_a, self.dim_b, stacked=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -93,12 +121,29 @@ def singlet() -> DensityOperator:
     return DensityOperator(2, 2, np.outer(SINGLET_VEC, SINGLET_VEC))
 
 
+def _werner_matrices(ps: np.ndarray) -> np.ndarray:
+    ps = ps[:, None, None]
+    return ps * np.outer(SINGLET_VEC, SINGLET_VEC) + (1.0 - ps) * np.eye(4) / 4.0
+
+
 def werner(p: float) -> DensityOperator:
     """Werner-family state p * singlet + (1 - p) * I/4."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter must be in [0, 1], got {p}")
-    m = p * np.outer(SINGLET_VEC, SINGLET_VEC) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityOperator(2, 2, m)
+    return DensityOperator(2, 2, _werner_matrices(np.array([p], dtype=float))[0])
+
+
+def werner_stack(ps) -> np.ndarray:
+    """Validated (n, 4, 4) stack of the Werner states of a 1-D array of mixing parameters."""
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 1:
+        raise ValueError(f"mixing parameters must form a 1-D array, got shape {ps.shape}")
+    _require_all(
+        (ps >= 0.0) & (ps <= 1.0),
+        lambda i: f"mixing parameter must be in [0, 1], got {ps[i]}",
+        stacked=True,
+    )
+    return density_stack(_werner_matrices(ps), 2, 2)
 
 
 def tensor(rho: DensityOperator, sigma: DensityOperator) -> DensityOperator:
@@ -128,11 +173,16 @@ def ppt_min_eigenvalue(rho: DensityOperator) -> float:
     Negative iff entangled for a 2x2 system. The B-side transpose is a fixed
     convention; in 2x2 the sign of the minimum eigenvalue is side-independent.
     """
-    if rho.dim_b < 2:
+    return float(ppt_min_eigenvalues(rho.matrix[None], rho.dim_a, rho.dim_b)[0])
+
+
+def ppt_min_eigenvalues(matrices, dim_a: int, dim_b: int) -> np.ndarray:
+    """ppt_min_eigenvalue of each member of a validated (n, d, d) stack, one batched eigvalsh."""
+    if dim_b < 2:
         raise ValueError("partial transpose needs a bipartite state (dim_b >= 2)")
-    da, db = rho.dim_a, rho.dim_b
-    pt = rho.matrix.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim)
-    return float(np.linalg.eigvalsh(pt)[0])
+    d = dim_a * dim_b
+    r = np.asarray(matrices).reshape(-1, dim_a, dim_b, dim_a, dim_b)
+    return np.linalg.eigvalsh(r.transpose(0, 1, 4, 3, 2).reshape(-1, d, d))[:, 0]
 
 
 def random_density(

@@ -15,12 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator
+from renyi2.qstate import DensityOperator, _require_all
 
 PROJECTOR_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 # slack for collision probabilities that land a hair outside [0, 1]
 PROB_EDGE_TOL = 1e-10
+# a margin above roundoff counts as a violation: pure product states sit exactly
+# on the separability bound, and their computed margin can come out at +1e-16
+MARGIN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +87,21 @@ class CollisionProbabilities:
     p_aa: float
 
     def __post_init__(self):
-        vals = (self.p_cc, self.p_ca, self.p_ac, self.p_aa)
-        for name, v in zip(("p_cc", "p_ca", "p_ac", "p_aa"), vals):
-            if not -PROB_EDGE_TOL <= v <= 1.0 + PROB_EDGE_TOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        total = sum(vals)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+        _check_quadruples(np.array([self.as_tuple()], dtype=float), stacked=False)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_cc, self.p_ca, self.p_ac, self.p_aa)
+
+
+def _check_quadruples(q: np.ndarray, stacked: bool) -> None:
+    """Each row of the (n, 4) array q in [0, 1] (with edge slack) and summing to 1."""
+    for k, name in enumerate(("p_cc", "p_ca", "p_ac", "p_aa")):
+        v = q[:, k]
+        ok = (v >= -PROB_EDGE_TOL) & (v <= 1.0 + PROB_EDGE_TOL)
+        _require_all(ok, lambda i: f"{name} = {v[i]} outside [0, 1]", stacked)
+    total = q.sum(axis=1)
+    ok = np.abs(total - 1.0) <= PROB_SUM_TOL
+    _require_all(ok, lambda i: f"probabilities sum to {total[i]}, expected 1", stacked)
 
 
 def collision_probabilities(rho: DensityOperator) -> CollisionProbabilities:
@@ -104,20 +112,30 @@ def collision_probabilities(rho: DensityOperator) -> CollisionProbabilities:
     p_cc = (1+A+B+J)/4, p_ca = (1+A-B-J)/4, p_ac = (1-A+B-J)/4, p_aa = (1-A-B+J)/4.
     The explicit trace over `projectors` is the definition the tests check against.
     """
-    if rho.dim_a < 2 or rho.dim_b < 2:
+    q = collision_quadruples(rho.matrix[None], rho.dim_a, rho.dim_b)
+    return CollisionProbabilities(*q[0].tolist())
+
+
+def collision_quadruples(matrices, dim_a: int, dim_b: int) -> np.ndarray:
+    """collision_probabilities of each member of a validated (n, d, d) stack, as rows
+    (p_cc, p_ca, p_ac, p_aa) of an (n, 4) array, range and sum checked on the stack."""
+    if dim_a < 2 or dim_b < 2:
         raise ValueError(
             f"dimension mismatch: need a bipartite state with both local "
-            f"dimensions >= 2, got {rho.dim_a} x {rho.dim_b}"
+            f"dimensions >= 2, got {dim_a} x {dim_b}"
         )
-    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    m = np.asarray(matrices)
+    r = m.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     # tr X^2 = sum |X_ij|^2 for Hermitian X
     j, a, b = (
-        float(np.vdot(x, x).real)
-        for x in (rho.matrix, np.einsum("abcb->ac", r), np.einsum("abad->bd", r))
+        np.einsum("nij,nij->n", x.conj(), x).real
+        for x in (m, np.einsum("nabcb->nac", r), np.einsum("nabad->nbd", r))
     )
-    return CollisionProbabilities(
-        (1 + a + b + j) / 4, (1 + a - b - j) / 4, (1 - a + b - j) / 4, (1 - a - b + j) / 4
+    q = np.stack(
+        [(1 + a + b + j) / 4, (1 + a - b - j) / 4, (1 - a + b - j) / 4, (1 - a - b + j) / 4], axis=1
     )
+    _check_quadruples(q, stacked=True)
+    return q
 
 
 def purities_from_probabilities(
@@ -154,8 +172,8 @@ def purities_from_probabilities(
 class WitnessVerdict:
     """Outcome of the entropic witness on one set of collision probabilities.
 
-    margin_a = p_aa - p_ca and margin_b = p_aa - p_ac; a positive margin
-    violates the corresponding separability inequality. Significances are in
+    margin_a = p_aa - p_ca and margin_b = p_aa - p_ac; a margin above
+    MARGIN_TOL violates the corresponding separability inequality. Significances are in
     standard deviations, present only when errors were supplied.
     """
 
@@ -182,6 +200,12 @@ def _margin_significance(margin: float, s1: float, s2: float) -> float:
     return float(margin / denom)
 
 
+def witness_margins(quadruples) -> np.ndarray:
+    """(margin_a, margin_b) = (p_aa - p_ca, p_aa - p_ac) of each row of an (n, 4) quadruple stack."""
+    q = np.asarray(quadruples, dtype=float)
+    return np.stack([q[:, 3] - q[:, 1], q[:, 3] - q[:, 2]], axis=1)
+
+
 def entropic_witness(
     p: CollisionProbabilities,
     sigma: tuple[float, float, float, float] | None = None,
@@ -196,14 +220,13 @@ def entropic_witness(
         for s in (s_cc, s_ca, s_ac, s_aa):
             if s < 0.0:
                 raise ValueError(f"standard errors must be non-negative, got {s}")
-    margin_a = p.p_aa - p.p_ca
-    margin_b = p.p_aa - p.p_ac
+    margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
     sig_a = sig_b = None
     if sigma is not None:
         sig_a = _margin_significance(margin_a, s_aa, s_ca)
         sig_b = _margin_significance(margin_b, s_aa, s_ac)
-    violated_a = margin_a > 0.0
-    violated_b = margin_b > 0.0
+    violated_a = margin_a > MARGIN_TOL
+    violated_b = margin_b > MARGIN_TOL
     return WitnessVerdict(
         violated_a=violated_a,
         violated_b=violated_b,

@@ -38,3 +38,16 @@ def kron_correlation_matrix(rho) -> np.ndarray:
         for j in range(3):
             t[i, j] = np.trace(rho.matrix @ np.kron(PAULI[i], PAULI[j])).real
     return t
+
+
+def loop_ppt_min_eigenvalue(rho) -> float:
+    """Minimum eigenvalue of the partial transpose over B, built entry by entry:
+    <a b| rho^T_B |c d> = <a d| rho |c b>."""
+    da, db = rho.dim_a, rho.dim_b
+    pt = np.empty((da * db, da * db), dtype=complex)
+    for a in range(da):
+        for b in range(db):
+            for c in range(da):
+                for d in range(db):
+                    pt[a * db + b, c * db + d] = rho.matrix[a * db + d, c * db + b]
+    return float(np.linalg.eigvalsh(pt)[0])

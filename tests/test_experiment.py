@@ -288,6 +288,28 @@ def test_fit_input_validation():
         fit_interference([(x, 1.0, 0.1) for x in (0.0, 0.3, 0.6, 1.0)])
 
 
+def _six_points(bad_field: str, bad_value: float) -> list[tuple[float, float, float]]:
+    phi = np.linspace(0.0, PI, 6)
+    y = aa_curve(phi)
+    (phi if bad_field == "phi" else y)[2] = bad_value
+    return list(zip(phi, y, [0.01] * 6))
+
+
+def test_fit_rejects_nan_y():
+    with pytest.raises(ValueError, match="y must be finite"):
+        fit_interference(_six_points("y", np.nan))
+
+
+def test_fit_rejects_infinite_y():
+    with pytest.raises(ValueError, match="y must be finite"):
+        fit_interference(_six_points("y", np.inf))
+
+
+def test_fit_rejects_nan_phi():
+    with pytest.raises(ValueError, match="phi must be finite"):
+        fit_interference(_six_points("phi", np.nan))
+
+
 def test_fit_coverage_on_noisy_samples():
     truth = aa_curve(GRID25)
     failures = 0
