@@ -1,20 +1,17 @@
 """CHSH baseline for two-qubit states.
 
 max_chsh evaluates the closed-form criterion 2*sqrt(s1^2 + s2^2) over the two
-largest singular values of the Pauli correlation tensor. max_chsh_settings is
-an independent numerical maximization of |E(a,b)+E(a,b')+E(a',b)-E(a',b')|
-over measurement directions (coarse grid, then local refinement); it exists to
-cross-check the closed form and doubles as the package's hot kernel.
+largest singular values of the Pauli correlation tensor (Horodecki, Horodecki
+& Horodecki, PLA 200, 340, 1995). It is the package's only route to the CHSH
+maximum; the tests cross-check it against a brute-force settings scan.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2 import _kernels
 from renyi2.qstate import DensityOperator, _require_all, _require_finite
 
 PAULI = np.array(
@@ -31,13 +28,8 @@ PAULI_PAIRS.setflags(write=False)
 
 ENTRY_TOL = 1e-10
 
-USE_NUMBA = _kernels.HAS_NUMBA and not os.environ.get("RENYI2_NO_NUMBA")
-KERNEL_BACKEND = "numba" if USE_NUMBA else "numpy"
-_scan = _kernels.scan_numba if USE_NUMBA else _kernels.scan_numpy
-
-COARSE_STEP = np.pi / 9.0  # 20 degree grid
-REFINE_SHRINK = 0.2
-REFINE_ROUNDS = 3
+# one implementation; perfbench/spread.py prints this as provenance
+KERNEL_BACKEND = "numpy"
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,28 +88,3 @@ def max_chsh_values(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """
     s = _check_correlations(_pauli_correlations(matrices, dim_a, dim_b), stacked=True)
     return 2.0 * np.sqrt(s[:, 0] ** 2 + s[:, 1] ** 2)
-
-
-def max_chsh_settings(rho: DensityOperator, refine_rounds: int = REFINE_ROUNDS) -> float:
-    """Grid-plus-refinement settings optimizer, independent of the closed form.
-
-    Scans the first observer's two directions on a 20 degree grid, then runs
-    refinement rounds that shrink the step by 0.2 and cover +-3 steps around
-    the incumbent. The second observer's optimum is closed form inside the
-    kernel, so only four angles are searched.
-    """
-    t = np.ascontiguousarray(correlation_matrix(rho).t)
-    th = np.linspace(0.0, np.pi, 10)
-    ph = np.arange(0.0, 2.0 * np.pi, COARSE_STEP)
-    val, i1, j1, i2, j2 = _scan(t, th, ph, th, ph)
-    centers = [th[i1], ph[j1], th[i2], ph[j2]]
-    step = COARSE_STEP
-    for _ in range(refine_rounds):
-        step *= REFINE_SHRINK
-        offsets = step * np.arange(-3.0, 4.0)
-        grids = [c + offsets for c in centers]
-        val, i1, j1, i2, j2 = _scan(t, grids[0], grids[1], grids[2], grids[3])
-        centers = [grids[0][i1], grids[1][j1], grids[2][i2], grids[3][j2]]
-    # angles may wander outside the principal ranges during refinement; the
-    # direction parametrization stays a unit vector, so no clamping is needed
-    return float(val)

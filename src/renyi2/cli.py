@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .chsh import max_chsh_values
-from .experiment import RunConfig, witness_from_run
+from .experiment import RunConfig, _integer, witness_from_run
 from .fock import coincidence_curves
 from .qstate import (
     DensityOperator,
@@ -88,12 +88,15 @@ def _load_matrix_file(path: str) -> DensityOperator:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from None
     try:
-        dim_a, dim_b = int(data["dim_a"]), int(data["dim_b"])
+        dim_a, dim_b = (
+            _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
+            for name in ("dim_a", "dim_b")
+        )
         raw = data["matrix"]
         mat = np.array(
             [[complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in row] for row in raw]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
     return make_density(mat, dim_a, dim_b)
 

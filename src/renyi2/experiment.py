@@ -65,7 +65,8 @@ def _finite(name: str, x) -> float:
 
 def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
     """x as an int in [lo, hi]; ValueError naming the field otherwise."""
-    if isinstance(x, Integral) and not isinstance(x, bool):
+    # plain int first: the ABC check is slow and runs five times per CountRecord
+    if type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool)):
         n = int(x)
     else:
         value = _finite(name, x)
@@ -130,12 +131,13 @@ class CountRecord:
     n_other: int
 
     def __post_init__(self):
+        object.__setattr__(self, "phi", _finite("phi", self.phi))
         for name in ("n_cc", "n_ca", "n_ac", "n_aa", "n_other"):
-            n = getattr(self, name)
-            if int(n) != n or n < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {n}")
-            object.__setattr__(self, name, int(n))
-        object.__setattr__(self, "phi", float(self.phi))
+            n = _integer(
+                name, getattr(self, name), 0, MAX_SHOTS,
+                f"a non-negative integer no larger than {MAX_SHOTS}",
+            )
+            object.__setattr__(self, name, n)
 
     @property
     def total(self) -> int:
@@ -268,13 +270,17 @@ class FitResult:
 
 
 _MAX_CONDITION = 1e12
+# the fit lists one minimum per period in the scanned range, and takes cos(2 phi),
+# so phases are kept within this many periods of 0
+_MAX_PERIODS = 1000
 
 
 def fit_interference(points) -> FitResult:
     """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi).
 
     The period is fixed at pi. Needs at least 4 points spanning half a
-    period; every standard error must be positive (they set the weights).
+    period and lying within _MAX_PERIODS periods of 0; every standard error
+    must be positive (they set the weights).
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
@@ -288,6 +294,8 @@ def fit_interference(points) -> FitResult:
     _require_finite("y", y)
     if not np.all(sig > 0.0):  # refuses NaN too
         raise ValueError("standard errors must be positive")
+    if np.abs(phi).max() > _MAX_PERIODS * np.pi:
+        raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
 
     x = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
     # judged on the phase geometry alone, as the weights can span decades at

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _require_all
+from renyi2.qstate import DensityOperator, _require_all, _require_finite
 
 PROJECTOR_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
@@ -217,6 +217,7 @@ def entropic_witness(
     """
     if sigma is not None:
         s_cc, s_ca, s_ac, s_aa = (float(s) for s in sigma)
+        _require_finite("sigma", (s_cc, s_ca, s_ac, s_aa))
         for s in (s_cc, s_ca, s_ac, s_aa):
             if s < 0.0:
                 raise ValueError(f"standard errors must be non-negative, got {s}")

@@ -6,7 +6,7 @@ traces, with none of the closed forms the package computes with.
 
 import numpy as np
 
-from renyi2.chsh import PAULI
+from renyi2.chsh import PAULI, correlation_matrix
 from renyi2.two_copy import projectors
 
 
@@ -51,3 +51,58 @@ def loop_ppt_min_eigenvalue(rho) -> float:
                 for d in range(db):
                     pt[a * db + b, c * db + d] = rho.matrix[a * db + d, c * db + b]
     return float(np.linalg.eigvalsh(pt)[0])
+
+
+SCAN_COARSE_STEP = np.pi / 9.0  # 20 degree grid
+SCAN_REFINE_SHRINK = 0.2
+SCAN_REFINE_ROUNDS = 3
+
+
+def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors for the (theta, phi) grid, shape (theta.size * phi.size, 3)."""
+    t, p = np.meshgrid(theta, phi, indexing="ij")
+    t = t.ravel()
+    p = p.ravel()
+    return np.column_stack((np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)))
+
+
+def _scan(t, th1, ph1, th2, ph2):
+    """Best CHSH value over the (a, a') angle grid.
+
+    For fixed directions a, a' of the first observer, the optimum over the
+    second observer's settings is |t^T(a + a')| + |t^T(a - a')| with vector
+    norms, so only the four angles of (a, a') are scanned. Returns (value,
+    i1, j1, i2, j2), the indices locating the argmax in the theta/phi grids
+    of a and a'.
+    """
+    u1 = _unit_vectors(th1, ph1) @ t
+    u2 = _unit_vectors(th2, ph2) @ t
+    vals = np.linalg.norm(u1[:, None, :] + u2[None, :, :], axis=2)
+    vals += np.linalg.norm(u1[:, None, :] - u2[None, :, :], axis=2)
+    p, q = np.unravel_index(np.argmax(vals), vals.shape)
+    i1, j1 = divmod(int(p), ph1.size)
+    i2, j2 = divmod(int(q), ph2.size)
+    return float(vals[p, q]), i1, j1, i2, j2
+
+
+def settings_scan_max_chsh(rho) -> float:
+    """max |E(a,b)+E(a,b')+E(a',b)-E(a',b')| over measurement directions, searched
+    numerically with none of the singular-value closed form.
+
+    Scans the first observer's two directions on a 20 degree grid, then runs
+    refinement rounds that shrink the step by 0.2 and cover +-3 steps around
+    the incumbent. Angles may wander outside the principal ranges during
+    refinement; the parametrization stays a unit vector, so none is clamped.
+    """
+    t = correlation_matrix(rho).t
+    th = np.linspace(0.0, np.pi, 10)
+    ph = np.arange(0.0, 2.0 * np.pi, SCAN_COARSE_STEP)
+    val, i1, j1, i2, j2 = _scan(t, th, ph, th, ph)
+    centers = [th[i1], ph[j1], th[i2], ph[j2]]
+    step = SCAN_COARSE_STEP
+    for _ in range(SCAN_REFINE_ROUNDS):
+        step *= SCAN_REFINE_SHRINK
+        grids = [c + step * np.arange(-3.0, 4.0) for c in centers]
+        val, i1, j1, i2, j2 = _scan(t, *grids)
+        centers = [grids[0][i1], grids[1][j1], grids[2][i2], grids[3][j2]]
+    return val

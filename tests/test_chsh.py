@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from renyi2 import _kernels
-from renyi2.chsh import (
-    CorrelationMatrix,
-    correlation_matrix,
-    max_chsh,
-    max_chsh_settings,
-)
+from renyi2.chsh import CorrelationMatrix, correlation_matrix, max_chsh
 from renyi2.qstate import make_density, random_density, singlet, tensor, werner
 
-from oracles import kron_correlation_matrix
+from oracles import kron_correlation_matrix, settings_scan_max_chsh
 
 SQRT2 = np.sqrt(2.0)
 
@@ -62,7 +56,7 @@ def test_correlation_matrix_matches_kron_oracle_on_random_states():
 
 def test_max_chsh_singlet_reaches_tsirelson():
     assert abs(max_chsh(singlet()) - 2.0 * SQRT2) < 1e-12
-    assert abs(max_chsh_settings(singlet()) - 2.0 * SQRT2) < 1e-4
+    assert abs(settings_scan_max_chsh(singlet()) - 2.0 * SQRT2) < 1e-4
 
 
 def test_max_chsh_product_state_is_two():
@@ -70,21 +64,21 @@ def test_max_chsh_product_state_is_two():
     hh[0, 0] = 1.0
     rho = make_density(hh, 2, 2)
     assert abs(max_chsh(rho) - 2.0) < 1e-12
-    assert abs(max_chsh_settings(rho) - 2.0) < 1e-4
+    assert abs(settings_scan_max_chsh(rho) - 2.0) < 1e-4
 
 
 @pytest.mark.parametrize("p", [0.5, 0.8])
 def test_max_chsh_werner_scaling(p):
     want = 2.0 * SQRT2 * p
     assert abs(max_chsh(werner(p)) - want) < 1e-12
-    assert abs(max_chsh_settings(werner(p)) - want) < 1e-4
+    assert abs(settings_scan_max_chsh(werner(p)) - want) < 1e-4
 
 
 def test_closed_form_matches_settings_oracle_on_random_states():
     rng = np.random.default_rng(606)
     for _ in range(200):
         rho = random_density(2, 2, rng, components=int(rng.integers(1, 6)))
-        assert abs(max_chsh(rho) - max_chsh_settings(rho)) < 1e-4
+        assert abs(max_chsh(rho) - settings_scan_max_chsh(rho)) < 1e-4
 
 
 def _haar_qubit_unitary(rng):
@@ -124,16 +118,3 @@ def test_entropic_witness_beats_chsh_between_thresholds():
         assert verdict.entangled, f"witness silent at p={p}"
         assert max_chsh(werner(p)) <= 2.0 + 1e-9, f"CHSH fired at p={p}"
 
-
-def test_kernel_backends_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(31)
-    th = np.linspace(0.0, np.pi, 10)
-    ph = np.arange(0.0, 2.0 * np.pi, np.pi / 9.0)
-    for _ in range(5):
-        t = np.ascontiguousarray(correlation_matrix(random_density(2, 2, rng)).t)
-        got_nb = _kernels.scan_numba(t, th, ph, th, ph)
-        got_np = _kernels.scan_numpy(t, th, ph, th, ph)
-        # degenerate maxima may tie-break differently; the value is the contract
-        assert abs(got_nb[0] - got_np[0]) < 1e-12

@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyi2.cli import main
+from renyi2.qstate import random_density
 
 PI = np.pi
 
@@ -112,6 +121,21 @@ def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "matrix must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "dim_a, size",
+    [("Infinity", 4), ("true", 2), ("1e30", 4), ("2.5", 4), ('"2"', 4), ("null", 4), ("[2]", 4)],
+    ids=["infinite", "bool", "huge", "fraction", "string", "null", "list"],
+)
+def test_purity_rejects_non_integer_dimensions(capsys, tmp_path, dim_a, size):
+    # Infinity used to raise OverflowError (a traceback, exit 1); true was read as 1
+    mat = (np.eye(size) / size).tolist()
+    f = tmp_path / "dims.json"
+    f.write_text(f'{{"dim_a": {dim_a}, "dim_b": 2, "matrix": {json.dumps(mat)}}}')
+    code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "dim_a" in err
 
 
 # -- werner-scan ------------------------------------------------------------------
@@ -300,6 +324,148 @@ def test_phase_scan_rejects_non_finite_grid_bounds(capsys):
         code, out, err = run_cli(capsys, "phase-scan", "--grid", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
+
+# -- contract fuzz -----------------------------------------------------------------
+
+# JSON values that no field accepts, or that one accepts only at the edge of its range
+JUNK_VALUES = [
+    float("nan"), float("inf"), -float("inf"), 1e30, -1e30, 2**70, -(2**70),
+    True, False, None, "", "2", [], [1, 2], [[0.5]], {"a": 1},
+]
+JUNK = st.one_of(
+    st.sampled_from(JUNK_VALUES),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.lists(st.integers(0, 1), max_size=2)), max_size=3),
+)
+FUZZ_CONFIG = {
+    "phi_grid": np.linspace(0.0, PI, 8).tolist(),
+    "shots_per_phase": 500,
+    "visibility": 0.9,
+    "background_rate": 0.01,
+    "seed": 3,
+    "detector_model": "bucket_with_pbs",
+}
+FUZZ_MATRIX_FILE = {
+    "dim_a": 2,
+    "dim_b": 2,
+    "matrix": [[0.5, 0, 0, [0, -0.5]], [0, 0, 0, 0], [0, 0, 0, 0], [[0, 0.5], 0, 0, 0.5]],
+}
+
+
+def _paths(data, prefix=()):
+    """Key paths of every value nested in a JSON object or list."""
+    for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(data, path, value):
+    data = copy.deepcopy(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@st.composite
+def corrupted(draw, data):
+    """data with zero to two values set to junk or dropped, an unknown field
+    added, or the whole of it replaced by junk."""
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(data)) or [None]))
+        if path is None:
+            break
+        if len(path) == 1 and draw(st.integers(0, 3)) == 0:
+            data = {k: v for k, v in data.items() if k != path[0]}
+        else:
+            data = _replaced(data, path, draw(JUNK))
+    if draw(st.integers(0, 9)) == 0:
+        data = dict(data, knob=1)
+    return draw(JUNK) if draw(st.integers(0, 9)) == 0 else data
+
+
+def run_in_process(argv):
+    """cli.main on argv: (exit code, stderr). A warning would be another stderr line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
+    return code, err.getvalue()
+
+
+def assert_contract(code, err, what):
+    if code == 0:
+        assert err == "", what
+    else:
+        assert code == 2, what
+        assert err.startswith("error:") and err.count("\n") == 1, (what, err)
+
+
+def run_simulate(raw, tmp):
+    cfg = Path(tmp) / "run.json"
+    cfg.write_text(json.dumps(raw))
+    return run_in_process(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+
+
+def run_purity(data, tmp):
+    f = Path(tmp) / "state.json"
+    f.write_text(json.dumps(data))
+    return run_in_process(["purity", "--state", f"file:{f}", "--format", "json"])
+
+
+@pytest.mark.parametrize(
+    "run, base", [(run_simulate, FUZZ_CONFIG), (run_purity, FUZZ_MATRIX_FILE)], ids=["simulate", "purity"]
+)
+def test_every_junk_value_in_every_field_keeps_the_contract(tmp_path, run, base):
+    assert run(base, tmp_path) == (0, "")
+    for path in _paths(base):
+        for value in JUNK_VALUES:
+            assert_contract(*run(_replaced(base, path, value), tmp_path), (path, value))
+
+
+def test_simulate_refuses_phases_whose_double_overflows(tmp_path):
+    # cos(2 phi) at phi = 1e308 printed three numpy warnings before the error
+    code, err = run_simulate({"phi_grid": [1e308] * 4, "shots_per_phase": 100}, tmp_path)
+    assert code == 2 and err.startswith("error: phi must lie within") and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "phi_grid": st.lists(st.floats(-2 * PI, 2 * PI), min_size=1, max_size=8),
+        "shots_per_phase": st.integers(1, 5000),
+        "visibility": st.floats(0.0, 1.0),
+        "background_rate": st.floats(0.0, 1.0),
+        "seed": st.integers(0, 2**64 - 1),
+        "detector_model": st.sampled_from(["number_resolving", "bucket_with_pbs"]),
+    }).flatmap(corrupted)
+)
+def test_fuzzed_simulate_config_keeps_the_contract(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_contract(*run_simulate(raw, tmp), raw)
+
+
+def _matrix_file(dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim_a, dim_b, rng, components=int(rng.integers(1, 4))).matrix
+    matrix = [[[e.real, e.imag] if e.imag else e.real for e in row] for row in rho.tolist()]
+    return {"dim_a": dim_a, "dim_b": dim_b, "matrix": matrix}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(_matrix_file, st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    .flatmap(corrupted)
+)
+def test_fuzzed_matrix_file_keeps_the_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_contract(*run_purity(data, tmp), data)
 
 
 # -- entry point -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,31 @@ def test_count_record_validation():
     assert rec.as_dict()["n_cc"] == 10
     with pytest.raises(ValueError, match="non-negative"):
         CountRecord(0.0, -1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((0.0, np.inf, 0, 0, 0, 0), "n_cc"),  # was OverflowError
+        ((0.0, 0, 0, 0, 0, -np.inf), "n_other"),
+        ((0.0, 0, np.nan, 0, 0, 0), "n_ca"),
+        ((0.0, 0, 0, True, 0, 0), "n_ac"),  # was accepted as 1
+        ((0.0, 0, 0, 0, 2.5, 0), "n_aa"),
+        ((0.0, 2**63, 0, 0, 0, 0), "n_cc"),
+        ((np.nan, 1, 0, 0, 0, 0), "phi"),  # was accepted
+        ((np.inf, 1, 0, 0, 0, 0), "phi"),
+        (("0.5", 1, 0, 0, 0, 0), "phi"),
+    ],
+)
+def test_count_record_rejects_bad_fields(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CountRecord(*args)
+
+
+def test_count_record_normalizes_numbers():
+    rec = CountRecord(np.float32(0.5), np.int64(3), 2.0, 0, 0, 0)
+    assert type(rec.phi) is float and type(rec.n_cc) is int and type(rec.n_ca) is int
+    assert (rec.phi, rec.n_cc, rec.n_ca) == (0.5, 3, 2)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -286,6 +312,21 @@ def test_fit_input_validation():
         fit_interference([(0.3, 1.0, 0.1)] * 5)
     with pytest.raises(ValueError, match="half a period"):
         fit_interference([(x, 1.0, 0.1) for x in (0.0, 0.3, 0.6, 1.0)])
+
+
+def test_fit_rejects_phases_beyond_1000_periods():
+    # the minima list has one entry per period: a phase of 1e30 built a list
+    # of 3e29 floats until memory ran out; at 1e308, 2 phi overflowed to inf
+    # and cos(inf) warned
+    grids = [(0.0, 0.5, 1.0, 1.5, far) for far in (1000.5 * PI, -1000.5 * PI, 1e30)]
+    grids.append((1e308,) * 5)
+    for grid in grids:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="within 1000 periods"):
+                fit_interference([(x, 1.0, 0.1) for x in grid])
+    fit = fit_interference(zip(np.linspace(-1000 * PI, 1000 * PI, 6001), [1.0] * 6001, [0.1] * 6001))
+    assert len(fit.minima_locations) == 2000
 
 
 def _six_points(bad_field: str, bad_value: float) -> list[tuple[float, float, float]]:

@@ -150,6 +150,14 @@ def test_witness_rejects_negative_errors():
         entropic_witness(p, sigma=(0.0, -0.1, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_witness_rejects_non_finite_errors(bad):
+    # NaN used to pass the sign check and come out as significance_a = nan
+    p = collision_probabilities(werner(0.8))
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        entropic_witness(p, sigma=(0.0, bad, 0.01, 0.01))
+
+
 def test_identity_closure_on_random_states():
     # reconstruction from collision probabilities must match direct purities
     rng = np.random.default_rng(12345)
