@@ -92,13 +92,18 @@ def _load_matrix_file(path: str) -> DensityOperator:
             _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
             for name in ("dim_a", "dim_b")
         )
-        raw = data["matrix"]
-        mat = np.array(
-            [[complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in row] for row in raw]
-        )
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        mat = np.array([[_matrix_entry(e) for e in row] for row in data["matrix"]])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
     return make_density(mat, dim_a, dim_b)
+
+
+def _matrix_entry(e) -> complex:
+    """A matrix-file entry: a real number, or a [re, im] pair of them; no bools."""
+    parts = e if isinstance(e, list) and len(e) == 2 else [e]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+        raise ValueError(f"matrix entries must be numbers or [re, im] pairs of numbers, got {e!r}")
+    return complex(*parts)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -247,8 +252,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one `error: ...` line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renyi2",
         description="Two-copy collision probabilities: purity reports, threshold scans, run simulation.",
     )

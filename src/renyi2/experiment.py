@@ -19,6 +19,8 @@ from .two_copy import CollisionProbabilities, entropic_witness
 
 CHANNELS = ("cc", "ca", "ac", "aa", "other")
 DETECTOR_MODELS = ("number_resolving", "bucket_with_pbs")
+# keys of one row of the report's count table
+_COUNT_FIELDS = ("phi",) + tuple(f"n_{ch}" for ch in CHANNELS)
 
 # weight of the singlet x singlet component in the four-photon source state;
 # curve minima sit on this scale relative to the two-copy singlet values
@@ -30,7 +32,7 @@ MIN_SIGNIFICANCE = 3.0
 # factor by which each coalescence channel is undercounted by bucket
 # detectors behind a polarizing splitter: a two-photon port registers as two
 # detectors only when the photons split H/V, probability 1/2 per side
-_BUCKET_KEEP = {"cc": 0.25, "ca": 0.5, "ac": 0.5}
+_BUCKET_KEEP = np.array([0.25, 0.5, 0.5])  # cc, ca, ac
 _CORRECTION_FACTORS = {
     "number_resolving": dict.fromkeys(CHANNELS, 1.0),
     "bucket_with_pbs": {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0},
@@ -65,8 +67,7 @@ def _finite(name: str, x) -> float:
 
 def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
     """x as an int in [lo, hi]; ValueError naming the field otherwise."""
-    # plain int first: the ABC check is slow and runs five times per CountRecord
-    if type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool)):
+    if isinstance(x, Integral) and not isinstance(x, bool):
         n = int(x)
     else:
         value = _finite(name, x)
@@ -119,41 +120,6 @@ class RunConfig:
         }
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Event counts of the five outcome classes at one phase setting."""
-
-    phi: float
-    n_cc: int
-    n_ca: int
-    n_ac: int
-    n_aa: int
-    n_other: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _finite("phi", self.phi))
-        for name in ("n_cc", "n_ca", "n_ac", "n_aa", "n_other"):
-            n = _integer(
-                name, getattr(self, name), 0, MAX_SHOTS,
-                f"a non-negative integer no larger than {MAX_SHOTS}",
-            )
-            object.__setattr__(self, name, n)
-
-    @property
-    def total(self) -> int:
-        return self.n_cc + self.n_ca + self.n_ac + self.n_aa + self.n_other
-
-    def as_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "n_cc": self.n_cc,
-            "n_ca": self.n_ca,
-            "n_ac": self.n_ac,
-            "n_aa": self.n_aa,
-            "n_other": self.n_other,
-        }
-
-
 def outcome_distributions(phi_grid, visibility: float, background_rate: float) -> np.ndarray:
     """Five-class probabilities (cc, ca, ac, aa, other) under the noise model,
     one row per phase.
@@ -173,20 +139,22 @@ def outcome_distribution(phi: float, visibility: float, background_rate: float) 
     return outcome_distributions([phi], visibility, background_rate)[0]
 
 
-def simulate_counts(config: RunConfig) -> list[CountRecord]:
-    """Draw the per-phase event table; deterministic for a fixed seed."""
-    table = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
-    records = []
-    for k, (phi, probs) in enumerate(zip(config.phi_grid, table)):
+def simulate_counts(config: RunConfig) -> np.ndarray:
+    """Draw the (phases, 5) int64 event table, columns in CHANNELS order;
+    deterministic for a fixed seed."""
+    probs = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
+    table = np.empty(probs.shape, dtype=np.int64)
+    bucket = config.detector_model == "bucket_with_pbs"
+    for k, row in enumerate(probs):
         # one child stream per phase so the table is stable under grid reordering
         rng = np.random.default_rng([config.seed, k])
-        counts = rng.multinomial(config.shots_per_phase, probs)
-        if config.detector_model == "bucket_with_pbs":
-            kept = [int(rng.binomial(counts[i], _BUCKET_KEEP[CHANNELS[i]])) for i in range(3)]
-            lost = int(counts[0] + counts[1] + counts[2]) - sum(kept)
-            counts = kept + [int(counts[3]), int(counts[4]) + lost]
-        records.append(CountRecord(phi, *(int(n) for n in counts)))
-    return records
+        counts = rng.multinomial(config.shots_per_phase, row)
+        if bucket:
+            kept = rng.binomial(counts[:3], _BUCKET_KEEP)
+            counts[4] += (counts[:3] - kept).sum()
+            counts[:3] = kept
+        table[k] = counts
+    return table
 
 
 @dataclass(frozen=True)
@@ -199,24 +167,19 @@ class ChannelEstimate:
     degenerate: tuple  # True where the raw count was 0 or N (sigma collapses)
 
 
-def estimate_probabilities(
-    counts: list[CountRecord], detector_model: str
-) -> dict[str, ChannelEstimate]:
+def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, ChannelEstimate]:
     """Multinomial proportions with standard errors sqrt(p(1-p)/N).
 
+    counts is the event table of simulate_counts: one row of five
+    non-negative integer counts (CHANNELS order) per entry of phi_grid, with
+    each row's total at most MAX_SHOTS.
     Under bucket_with_pbs the observed cc/ca/ac counts are scaled back up by
     the detection factor (4, 2, 2) before normalization; the estimate of
     `other` then includes the lost coalescence events and is reported as-is.
     """
     factors = _correction_factors(detector_model)
-    if not counts:
-        raise ValueError("empty count table")
-    table = _count_table(counts)
-    n_total = table.sum(axis=1)
-    empty = np.flatnonzero(n_total == 0)
-    if empty.size:
-        raise ValueError(f"zero total counts at phi={counts[empty[0]].phi}")
-    phi = tuple(rec.phi for rec in counts)
+    phi, table, n_total = _validated_counts(phi_grid, counts)
+    phi = tuple(phi.tolist())
     return {
         ch: ChannelEstimate(
             phi,
@@ -228,9 +191,45 @@ def estimate_probabilities(
     }
 
 
-def _count_table(counts: list[CountRecord]) -> np.ndarray:
-    """Event counts as a (phases, 5) integer array, columns in CHANNELS order."""
-    return np.array([[getattr(rec, f"n_{ch}") for ch in CHANNELS] for rec in counts])
+def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, int64 table, row totals); ValueError naming the first fault."""
+    phi, raw = np.asarray(phi_grid), np.asarray(counts)
+    if phi.ndim != 1 or phi.size == 0:
+        raise ValueError(f"phi_grid must be a non-empty sequence of phases, got shape {phi.shape}")
+    if phi.dtype.kind not in "iuf":
+        raise ValueError(f"phi must be a number, got dtype {phi.dtype}")
+    phi = phi.astype(float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"phi must be finite, got {phi[~np.isfinite(phi)][0]}")
+    if raw.shape != (phi.size, len(CHANNELS)):
+        raise ValueError(
+            f"counts must be a ({phi.size}, {len(CHANNELS)}) table, one row per phase, got shape {raw.shape}"
+        )
+    if raw.dtype.kind not in "iu":  # bool is kind "b"
+        raise ValueError(f"counts must be integers, got dtype {raw.dtype}")
+    # numpy reads a bool among ints as 1, so a table given as lists is read entry by entry
+    entries = () if raw is counts else np.asarray(counts, dtype=object).flat
+    if any(isinstance(x, (bool, np.bool_)) for x in entries):
+        raise ValueError("counts must be integers, got a bool")
+    # a count above MAX_SHOTS turns negative in int64, and so does the first
+    # partial sum of a row whose total passes MAX_SHOTS
+    table = raw.astype(np.int64)
+    bad = np.argwhere(table < 0)
+    if bad.size:
+        i, c = bad[0]
+        raise ValueError(
+            f"n_{CHANNELS[c]} must be a non-negative integer no larger than {MAX_SHOTS}, "
+            f"got {raw[i, c]} at phi={phi[i]}"
+        )
+    partial = np.cumsum(table, axis=1)
+    over = np.flatnonzero(partial.min(axis=1) < 0)
+    if over.size:
+        raise ValueError(f"counts at phi={phi[over[0]]} total more than {MAX_SHOTS}")
+    n_total = partial[:, -1]
+    empty = np.flatnonzero(n_total == 0)
+    if empty.size:
+        raise ValueError(f"zero total counts at phi={phi[empty[0]]}")
+    return phi, table, n_total
 
 
 def _binomial_stderr(n: np.ndarray, n_total: np.ndarray, factor: float, shrunk: bool = False) -> np.ndarray:
@@ -354,10 +353,9 @@ def witness_from_run(config: RunConfig) -> dict:
     values compare against the two-copy probabilities of the conditioned
     singlet pair, and calls a violation only beyond MIN_SIGNIFICANCE.
     """
-    counts = simulate_counts(config)
-    estimates = estimate_probabilities(counts, config.detector_model)
+    table = simulate_counts(config)
+    estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
     factors = _correction_factors(config.detector_model)
-    table = _count_table(counts)
     n_total = table.sum(axis=1)
 
     fits = {}
@@ -405,7 +403,10 @@ def witness_from_run(config: RunConfig) -> dict:
     }
     return {
         "config": config.as_dict(),
-        "counts": [rec.as_dict() for rec in counts],
+        "counts": [
+            dict(zip(_COUNT_FIELDS, (phi, *row)))
+            for phi, row in zip(config.phi_grid, table.tolist())
+        ],
         "fits": {"p_ac": fits["ac"].as_dict(), "p_aa": fits["aa"].as_dict()},
         "witness": witness,
     }

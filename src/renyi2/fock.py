@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -400,60 +399,26 @@ def coincidence_probabilities(state: FockState) -> CoincidenceRecord:
     )
 
 
-# -- phase-Gram form of the outcome curves -------------------------------------
+# -- closed form of the outcome curves -----------------------------------------
 # The source state is sum_j z_j |s_j> with z = (1, e^{i phi}, e^{2 i phi}) and
 # |s_j> = (K^dag^2 / 2, K^dag L^dag, L^dag^2 / 2) |vac> / sqrt(10). The splitters
-# are linear, so the probability of outcome class c is z^dag G_c z with
-# G_c[j, k] = sum over the kets of class c of conj(<ket|S|s_j>) <ket|S|s_k>.
-# The e^{+-i phi} couplings G_c[0, 1] and G_c[1, 2] cancel on every class: the
-# two-singlet term does not interfere with either double pair. That leaves
-# p_c = tr G_c + 2 Re(G_c[0, 2] e^{2 i phi}), of period pi; the build checks it.
-# e^{2 i phi} is evaluated as (e^{i phi})^2, which stays finite for every
-# finite phi.
+# are linear, so the probability of outcome class c is z^dag G_c z, with G_c the
+# Gram matrix of the class-c parts of the three components after the
+# splitters. The two-singlet term interferes with neither double pair
+# (G_c[0, 1] = G_c[1, 2] = 0) and every term puts two photons on each side
+# (G_other = 0), so each curve is a Hong-Ou-Mandel dip of period pi:
+#
+#     p_c(phi) = tr G_c + 2 G_c[0, 2] cos 2 phi
+#
+# with the rational constants below. The Fock network above is their
+# derivation; the tests rebuild G_c from it and check these numbers.
+# cos 2 phi is taken as Re (e^{i phi})^2, which stays finite for every finite
+# phi, where 2 phi itself overflows near phi = 9e307.
 
-GRAM_TOL = 1e-14
-
-
-def _check_phase_gram(gram: np.ndarray) -> None:
-    """Raise unless every G_c is Hermitian, the e^{+-i phi} couplings vanish
-    and G_other is zero."""
-    asym = float(np.max(np.abs(gram - gram.conj().transpose(0, 2, 1))))
-    if asym > GRAM_TOL:
-        raise ValueError(f"phase Gram is not Hermitian (max |G - G^dag| = {asym:.3e})")
-    coupling = float(np.max(np.abs(gram[:, [0, 1], [1, 2]])))
-    if coupling > GRAM_TOL:
-        raise ValueError(f"phase Gram has an e^(i phi) coupling of {coupling:.3e}; the period is not pi")
-    other = float(np.max(np.abs(gram[tuple(OutcomeClass).index(OutcomeClass.OTHER)])))
-    if other > GRAM_TOL:
-        raise ValueError(f"phase Gram gives the OTHER class weight {other:.3e}")
-
-
-@lru_cache(maxsize=None)
-def phase_gram() -> np.ndarray:
-    """The (5, 3, 3) matrices G_c, in OutcomeClass order, built from the Fock model.
-
-    Built on first use and cached; read-only.
-    """
-    vac = {_VACUUM_KEY: 1.0 + 0j}
-    scale = 1.0 / sqrt(10.0)
-    components = (
-        (_kdag(_kdag(vac, DEFAULT_CAP), DEFAULT_CAP), 0.5),
-        (_ldag(_kdag(vac, DEFAULT_CAP), DEFAULT_CAP), 1.0),
-        (_ldag(_ldag(vac, DEFAULT_CAP), DEFAULT_CAP), 0.5),
-    )
-    amps: dict[tuple[int, ...], list[complex]] = {}
-    for j, (raw, weight) in enumerate(components):
-        part = FockState({occ: weight * a * scale for occ, a in raw.items()}, normalized=False)
-        for occ, amp in beam_splitter(beam_splitter(part, 1, 2), 3, 4).amplitudes.items():
-            amps.setdefault(occ, [0j, 0j, 0j])[j] = amp
-    gram = np.zeros((len(OutcomeClass), 3, 3), dtype=complex)
-    for c, cls in enumerate(OutcomeClass):
-        rows = np.array([a for occ, a in amps.items() if classify_outcome(occ) is cls], dtype=complex)
-        if rows.size:
-            gram[c] = rows.conj().T @ rows
-    _check_phase_gram(gram)
-    gram.setflags(write=False)
-    return gram
+CURVE_OFFSETS = np.array([9 / 20, 3 / 20, 3 / 20, 1 / 4, 0.0])  # tr G_c
+CURVE_AMPLITUDES = np.array([3 / 20, -3 / 20, -3 / 20, 3 / 20, 0.0])  # 2 G_c[0, 2]
+CURVE_OFFSETS.setflags(write=False)
+CURVE_AMPLITUDES.setflags(write=False)
 
 
 def outcome_curves(phi_grid) -> np.ndarray:
@@ -463,9 +428,8 @@ def outcome_curves(phi_grid) -> np.ndarray:
         raise ValueError("phase grid is empty")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phase grid holds a non-finite phase")
-    gram = phase_gram()
-    offset = np.trace(gram, axis1=1, axis2=2).real
-    return offset + ((np.exp(1j * phi) ** 2)[:, None] * (2.0 * gram[:, 0, 2])).real
+    cos2 = (np.exp(1j * phi) ** 2).real
+    return CURVE_OFFSETS + cos2[:, None] * CURVE_AMPLITUDES
 
 
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +66,6 @@ def _swap(dim: int) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=None)
 def projectors(dim: int) -> ProjectorPair:
     """P_S = (I + SWAP)/2 and P_A = (I - SWAP)/2 on a dim x dim double copy."""
     if dim < 2:

@@ -1,12 +1,25 @@
-"""Brute-force forms of the per-state kernels, kept as test oracles.
+"""Brute-force forms of the package's closed forms, kept as test oracles.
 
 Each one builds the operators the physics is defined by and takes their
 traces, with none of the closed forms the package computes with.
 """
 
+from functools import lru_cache
+from math import sqrt
+
 import numpy as np
 
 from renyi2.chsh import PAULI, correlation_matrix
+from renyi2.fock import (
+    DEFAULT_CAP,
+    FockState,
+    OutcomeClass,
+    _kdag,
+    _ldag,
+    _VACUUM_KEY,
+    beam_splitter,
+    classify_outcome,
+)
 from renyi2.two_copy import projectors
 
 
@@ -106,3 +119,56 @@ def settings_scan_max_chsh(rho) -> float:
         val, i1, j1, i2, j2 = _scan(t, *grids)
         centers = [grids[0][i1], grids[1][j1], grids[2][i2], grids[3][j2]]
     return val
+
+
+# -- phase-Gram form of the outcome curves -------------------------------------
+# The source state is sum_j z_j |s_j> with z = (1, e^{i phi}, e^{2 i phi}) and
+# |s_j> = (K^dag^2 / 2, K^dag L^dag, L^dag^2 / 2) |vac> / sqrt(10). The splitters
+# are linear, so the probability of outcome class c is z^dag G_c z with
+# G_c[j, k] = sum over the kets of class c of conj(<ket|S|s_j>) <ket|S|s_k>.
+# With G_c[0, 1] = G_c[1, 2] = 0 this is p_c = tr G_c + 2 Re(G_c[0, 2] e^{2 i phi}),
+# the closed form renyi2.fock.outcome_curves evaluates from constants.
+
+GRAM_TOL = 1e-14
+
+
+def _check_phase_gram(gram: np.ndarray) -> None:
+    """Raise unless every G_c is Hermitian, the e^{+-i phi} couplings vanish
+    and G_other is zero."""
+    asym = float(np.max(np.abs(gram - gram.conj().transpose(0, 2, 1))))
+    if asym > GRAM_TOL:
+        raise ValueError(f"phase Gram is not Hermitian (max |G - G^dag| = {asym:.3e})")
+    coupling = float(np.max(np.abs(gram[:, [0, 1], [1, 2]])))
+    if coupling > GRAM_TOL:
+        raise ValueError(f"phase Gram has an e^(i phi) coupling of {coupling:.3e}; the period is not pi")
+    other = float(np.max(np.abs(gram[tuple(OutcomeClass).index(OutcomeClass.OTHER)])))
+    if other > GRAM_TOL:
+        raise ValueError(f"phase Gram gives the OTHER class weight {other:.3e}")
+
+
+@lru_cache(maxsize=None)
+def phase_gram() -> np.ndarray:
+    """The (5, 3, 3) matrices G_c, in OutcomeClass order, built from the Fock model.
+
+    Built on first use, checked and cached; read-only.
+    """
+    vac = {_VACUUM_KEY: 1.0 + 0j}
+    scale = 1.0 / sqrt(10.0)
+    components = (
+        (_kdag(_kdag(vac, DEFAULT_CAP), DEFAULT_CAP), 0.5),
+        (_ldag(_kdag(vac, DEFAULT_CAP), DEFAULT_CAP), 1.0),
+        (_ldag(_ldag(vac, DEFAULT_CAP), DEFAULT_CAP), 0.5),
+    )
+    amps: dict[tuple[int, ...], list[complex]] = {}
+    for j, (raw, weight) in enumerate(components):
+        part = FockState({occ: weight * a * scale for occ, a in raw.items()}, normalized=False)
+        for occ, amp in beam_splitter(beam_splitter(part, 1, 2), 3, 4).amplitudes.items():
+            amps.setdefault(occ, [0j, 0j, 0j])[j] = amp
+    gram = np.zeros((len(OutcomeClass), 3, 3), dtype=complex)
+    for c, cls in enumerate(OutcomeClass):
+        rows = np.array([a for occ, a in amps.items() if classify_outcome(occ) is cls], dtype=complex)
+        if rows.size:
+            gram[c] = rows.conj().T @ rows
+    _check_phase_gram(gram)
+    gram.setflags(write=False)
+    return gram

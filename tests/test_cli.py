@@ -138,6 +138,25 @@ def test_purity_rejects_non_integer_dimensions(capsys, tmp_path, dim_a, size):
     assert err.startswith("error:") and err.count("\n") == 1 and "dim_a" in err
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "[[true, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
+        "[[1, false, 0, 0], [false, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
+        '[["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]',
+        "[[[0.25, 0, 99], 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]",
+    ],
+    ids=["true", "false", "string", "triple"],
+)
+def test_purity_rejects_mistyped_matrix_entries(capsys, tmp_path, matrix):
+    # each was read as a number (true as 1, "0.25" parsed, the triple cut to 0.25) and exited 0
+    f = tmp_path / "state.json"
+    f.write_text(f'{{"dim_a": 2, "dim_b": 2, "matrix": {matrix}}}')
+    code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix entries must be numbers") and err.count("\n") == 1
+
+
 # -- werner-scan ------------------------------------------------------------------
 
 
@@ -393,7 +412,10 @@ def run_in_process(argv):
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on usage errors and --help
+                code = exc.code
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     return code, err.getvalue()
@@ -427,6 +449,26 @@ def test_every_junk_value_in_every_field_keeps_the_contract(tmp_path, run, base)
     for path in _paths(base):
         for value in JUNK_VALUES:
             assert_contract(*run(_replaced(base, path, value), tmp_path), (path, value))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["werner-scan", "--steps", "abc"],
+        ["bogus"],
+        [],
+        ["simulate"],
+        ["purity", "--state", "singlet", "--format", "xml"],
+        ["phase-scan", "--grid"],
+        ["werner-scan", "--pmin", "0", "--colour", "red"],
+    ],
+    ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-flags", "bad-choice", "missing-value", "unknown-flag"],
+)
+def test_bad_argv_gives_one_error_line(argv):
+    # argparse printed a usage block before its error line
+    code, err = run_in_process(argv)
+    assert code == 2
+    assert_contract(code, err, argv)
 
 
 def test_simulate_refuses_phases_whose_double_overflows(tmp_path):

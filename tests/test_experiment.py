@@ -10,7 +10,6 @@ from renyi2.experiment import (
     CHANNELS,
     MAX_SHOTS,
     ChannelEstimate,
-    CountRecord,
     RunConfig,
     estimate_probabilities,
     fit_interference,
@@ -97,37 +96,49 @@ def test_correction_factors_per_detector_model():
             _correction_factors(bad)
 
 
-def test_count_record_validation():
-    rec = CountRecord(0.5, 10, 0, 0, 5, 1)
-    assert rec.total == 16
-    assert rec.as_dict()["n_cc"] == 10
-    with pytest.raises(ValueError, match="non-negative"):
-        CountRecord(0.0, -1, 0, 0, 0, 0)
+def test_estimator_accepts_any_integer_table_and_numeric_phases():
+    table = [[10, 0, 0, 5, 1]]
+    want = estimate_probabilities([0.5], np.array(table), "number_resolving")
+    for phi, counts in (
+        ([np.float32(0.5)], table),
+        (np.array([0.5]), np.array(table, dtype=np.uint64)),
+        ((0.5,), np.array(table, dtype=np.int32)),
+    ):
+        got = estimate_probabilities(phi, counts, "number_resolving")
+        assert got == want
+    assert want["cc"].phi == (0.5,) and type(want["cc"].phi[0]) is float
+    assert want["cc"].value == (10 / 16,)
 
 
 @pytest.mark.parametrize(
-    "args, field",
+    "phi, counts, match",
     [
-        ((0.0, np.inf, 0, 0, 0, 0), "n_cc"),  # was OverflowError
-        ((0.0, 0, 0, 0, 0, -np.inf), "n_other"),
-        ((0.0, 0, np.nan, 0, 0, 0), "n_ca"),
-        ((0.0, 0, 0, True, 0, 0), "n_ac"),  # was accepted as 1
-        ((0.0, 0, 0, 0, 2.5, 0), "n_aa"),
-        ((0.0, 2**63, 0, 0, 0, 0), "n_cc"),
-        ((np.nan, 1, 0, 0, 0, 0), "phi"),  # was accepted
-        ((np.inf, 1, 0, 0, 0, 0), "phi"),
-        (("0.5", 1, 0, 0, 0, 0), "phi"),
+        ([np.nan], [[1, 0, 0, 0, 0]], "^phi must be finite"),
+        ([np.inf], [[1, 0, 0, 0, 0]], "^phi must be finite"),
+        (["0.5"], [[1, 0, 0, 0, 0]], "^phi must be a number"),
+        ([0.0], [[np.inf, 0, 0, 0, 0]], "^counts must be integers"),  # was OverflowError
+        ([0.0], [[0, 0, 0, 0, -np.inf]], "^counts must be integers"),
+        ([0.0], [[0, np.nan, 0, 0, 0]], "^counts must be integers"),
+        ([0.0], [[0, 0, True, 0, 0]], "^counts must be integers, got a bool"),  # was accepted as 1
+        ([0.0], np.array([[False, False, True, False, False]]), "^counts must be integers, got dtype bool"),
+        ([0.0], [[0, 0, 0, 2.5, 0]], "^counts must be integers"),
+        ([0.0], [[0, 0, 0, 0, -1]], "^n_other must be a non-negative integer"),
+        ([0.0], np.array([[2**63, 0, 0, 0, 0]], dtype=np.uint64), "^n_cc must be a non-negative integer"),
+        ([0.0], [[2**62, 2**62, 0, 0, 0]], "total more than"),  # its int64 sum wraps
+        ([0.0, 1.0], [[1, 0, 0, 0, 0]], r"^counts must be a \(2, 5\) table"),
+        ([0.0], [1, 0, 0, 0, 0], r"^counts must be a \(1, 5\) table"),
+        ([0.0], [[1, 0, 0, 0]], r"^counts must be a \(1, 5\) table"),
+        ([[0.0]], [[1, 0, 0, 0, 0]], "^phi_grid must be a non-empty sequence"),
+    ],
+    ids=[
+        "nan-phi", "inf-phi", "string-phi", "inf-count", "minus-inf-count", "nan-count", "bool-count", "bool-table", "fraction-count",
+        "negative-count", "count-2**63", "total-above-max", "missing-row", "flat-table",
+        "four-columns", "nested-phi",
     ],
 )
-def test_count_record_rejects_bad_fields(args, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
-        CountRecord(*args)
-
-
-def test_count_record_normalizes_numbers():
-    rec = CountRecord(np.float32(0.5), np.int64(3), 2.0, 0, 0, 0)
-    assert type(rec.phi) is float and type(rec.n_cc) is int and type(rec.n_ca) is int
-    assert (rec.phi, rec.n_cc, rec.n_ca) == (0.5, 3, 2)
+def test_estimator_rejects_bad_count_tables(phi, counts, match):
+    with pytest.raises(ValueError, match=match):
+        estimate_probabilities(phi, counts, "number_resolving")
 
 
 # -- sampling ------------------------------------------------------------------
@@ -166,62 +177,62 @@ def test_simulate_counts_deterministic_and_complete():
     cfg = RunConfig(phi_grid=GRID25, shots_per_phase=2000, visibility=0.9, seed=99)
     a = simulate_counts(cfg)
     b = simulate_counts(cfg)
-    assert a == b
-    for rec in a:
-        assert rec.total == 2000
+    assert a.dtype == np.int64 and a.shape == (len(GRID25), len(CHANNELS))
+    assert np.array_equal(a, b)
+    assert np.all(a.sum(axis=1) == 2000)
 
 
 def test_simulate_counts_seed_changes_table():
     cfg1 = RunConfig(phi_grid=GRID25, shots_per_phase=2000, seed=1)
     cfg2 = RunConfig(phi_grid=GRID25, shots_per_phase=2000, seed=2)
-    assert simulate_counts(cfg1) != simulate_counts(cfg2)
+    assert not np.array_equal(simulate_counts(cfg1), simulate_counts(cfg2))
 
 
 def test_frequencies_converge_to_ideal_curves():
     shots = 1_000_000
     cfg = RunConfig(phi_grid=(0.0, PI / 4, PI / 2), shots_per_phase=shots, seed=314)
-    for rec in simulate_counts(cfg):
-        truth = outcome_distribution(rec.phi, 1.0, 0.0)
+    for phi, row in zip(cfg.phi_grid, simulate_counts(cfg)):
+        truth = outcome_distribution(phi, 1.0, 0.0)
         for i, ch in enumerate(CHANNELS):
-            n = getattr(rec, f"n_{ch}")
             sig = np.sqrt(truth[i] * (1.0 - truth[i]) / shots)
-            assert abs(n / shots - truth[i]) <= 4.0 * sig + 1e-12, (rec.phi, ch)
+            assert abs(row[i] / shots - truth[i]) <= 4.0 * sig + 1e-12, (phi, ch)
 
 
 def test_zero_visibility_flattens_every_channel():
     cfg = RunConfig(phi_grid=(0.0, 0.8, PI / 2), shots_per_phase=100_000, visibility=0.0, seed=8)
     sig = np.sqrt(0.25 * 0.75 / 100_000)
-    for rec in simulate_counts(cfg):
-        assert abs(rec.n_aa / rec.total - 0.25) < 4.0 * sig
-        assert abs(rec.n_ac / rec.total - 0.25) < 4.0 * sig
-        assert rec.n_other == 0
+    for n_cc, n_ca, n_ac, n_aa, n_other in simulate_counts(cfg):
+        total = n_cc + n_ca + n_ac + n_aa + n_other
+        assert abs(n_aa / total - 0.25) < 4.0 * sig
+        assert abs(n_ac / total - 0.25) < 4.0 * sig
+        assert n_other == 0
 
 
 def test_pure_background_is_uniform_over_classes():
     cfg = RunConfig(phi_grid=(0.3,), shots_per_phase=200_000, background_rate=1.0, seed=21)
-    (rec,) = simulate_counts(cfg)
+    (row,) = simulate_counts(cfg)
     sig = np.sqrt(0.2 * 0.8 / 200_000)
-    for ch in CHANNELS:
-        assert abs(getattr(rec, f"n_{ch}") / rec.total - 0.2) < 4.0 * sig
+    for n in row:
+        assert abs(n / row.sum() - 0.2) < 4.0 * sig
 
 
 def test_bucket_model_sheds_coalescence_counts():
     base = dict(phi_grid=(0.0,), shots_per_phase=100_000, seed=4)
     (nr,) = simulate_counts(RunConfig(**base))
     (bk,) = simulate_counts(RunConfig(**base, detector_model="bucket_with_pbs"))
-    assert bk.total == nr.total  # losses move to n_other, the sum is conserved
-    assert bk.n_cc < nr.n_cc
-    assert bk.n_other > nr.n_other
+    cc, aa, other = (CHANNELS.index(ch) for ch in ("cc", "aa", "other"))
+    assert bk.sum() == nr.sum()  # losses move to n_other, the sum is conserved
+    assert bk[cc] < nr[cc]
+    assert bk[other] > nr[other]
     # aa events have one photon per port and are never lost
-    assert abs(bk.n_aa / bk.total - nr.n_aa / nr.total) < 0.01
+    assert abs(bk[aa] / bk.sum() - nr[aa] / nr.sum()) < 0.01
 
 
 # -- estimation ----------------------------------------------------------------
 
 
 def test_estimator_fixed_example():
-    recs = [CountRecord(0.0, 75, 0, 0, 25, 0)]
-    est = estimate_probabilities(recs, "number_resolving")
+    est = estimate_probabilities([0.0], [[75, 0, 0, 25, 0]], "number_resolving")
     assert est["aa"].value[0] == pytest.approx(0.25)
     assert est["aa"].sigma[0] == pytest.approx(0.04330127018922193, abs=1e-15)
     assert est["aa"].degenerate == (False,)
@@ -232,11 +243,11 @@ def test_estimator_fixed_example():
 
 def test_estimator_errors():
     with pytest.raises(ValueError, match="zero total"):
-        estimate_probabilities([CountRecord(0.0, 0, 0, 0, 0, 0)], "number_resolving")
+        estimate_probabilities([0.0, 0.5], [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "number_resolving")
     with pytest.raises(ValueError, match="empty"):
-        estimate_probabilities([], "number_resolving")
+        estimate_probabilities([], np.zeros((0, 5), dtype=np.int64), "number_resolving")
     with pytest.raises(ValueError, match="detector_model"):
-        estimate_probabilities([CountRecord(0.0, 1, 0, 0, 0, 0)], "kaleidoscope")
+        estimate_probabilities([0.0], [[1, 0, 0, 0, 0]], "kaleidoscope")
 
 
 def test_bucket_correction_is_unbiased_against_truth():
@@ -249,20 +260,20 @@ def test_bucket_correction_is_unbiased_against_truth():
         seed=606,
         detector_model="bucket_with_pbs",
     )
-    recs = simulate_counts(cfg)
-    est = estimate_probabilities(recs, "bucket_with_pbs")
-    for j, rec in enumerate(recs):
-        truth = outcome_distribution(rec.phi, 0.965, 0.0)
+    est = estimate_probabilities(cfg.phi_grid, simulate_counts(cfg), "bucket_with_pbs")
+    for j, phi in enumerate(cfg.phi_grid):
+        truth = outcome_distribution(phi, 0.965, 0.0)
         for i, ch in enumerate(("cc", "ca", "ac", "aa")):
             sig = est[ch].sigma[j]
-            assert abs(est[ch].value[j] - truth[i]) < 4.0 * sig, (rec.phi, ch)
+            assert abs(est[ch].value[j] - truth[i]) < 4.0 * sig, (phi, ch)
 
 
 def test_bucket_and_number_resolving_estimates_cross_check():
     shots = 100_000
     base = dict(phi_grid=GRID25, shots_per_phase=shots, visibility=0.9, seed=75)
-    est_nr = estimate_probabilities(simulate_counts(RunConfig(**base)), "number_resolving")
+    est_nr = estimate_probabilities(GRID25, simulate_counts(RunConfig(**base)), "number_resolving")
     est_bk = estimate_probabilities(
+        GRID25,
         simulate_counts(RunConfig(**base, detector_model="bucket_with_pbs")),
         "bucket_with_pbs",
     )

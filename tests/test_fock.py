@@ -1,10 +1,10 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import renyi2.fock as fock
 from renyi2.fock import (
+    CURVE_AMPLITUDES,
+    CURVE_OFFSETS,
     DEFAULT_CAP,
     CoincidenceRecord,
     FockState,
@@ -20,15 +20,15 @@ from renyi2.fock import (
     hamiltonian_expansion,
     hamiltonian_four_photon_term,
     outcome_curves,
-    phase_gram,
     spdc_four_photon_state,
     vacuum,
-    _check_phase_gram,
     _kdag,
     _ldag,
     _VACUUM_KEY,
 )
 from renyi2.qstate import SINGLET_VEC
+
+from oracles import _check_phase_gram, phase_gram
 
 PI = np.pi
 
@@ -364,7 +364,7 @@ def test_spurious_terms_vanish_at_marked_phases():
         assert abs(rec[channel]) < 1e-12, (phi, channel)
 
 
-# -- phase-Gram form -----------------------------------------------------------
+# -- closed-form curves against the Fock oracle ---------------------------------
 
 
 def fock_oracle(grid):
@@ -393,17 +393,26 @@ def test_coincidence_curves_rows_follow_the_gram_curves():
         assert probs == list(row[:4])
 
 
-def test_phase_gram_is_cached_and_read_only():
-    assert phase_gram() is phase_gram()
-    with pytest.raises(ValueError):
-        phase_gram()[0, 0, 0] = 1.0
+def test_curve_constants_equal_the_fock_built_gram():
+    gram = phase_gram()
+    assert np.max(np.abs(np.trace(gram, axis1=1, axis2=2) - CURVE_OFFSETS)) <= 1e-15
+    assert np.max(np.abs(2.0 * gram[:, 0, 2] - CURVE_AMPLITUDES)) <= 1e-15
 
 
-def test_phase_gram_is_not_built_at_import():
-    code = "import renyi2.cli, renyi2.fock as f; print(f.phase_gram.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+def test_curve_constants_are_read_only():
+    for const in (CURVE_OFFSETS, CURVE_AMPLITUDES):
+        with pytest.raises(ValueError):
+            const[0] = 1.0
+
+
+def test_outcome_curves_build_no_fock_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fock network ran")
+
+    for name in ("FockState", "beam_splitter", "_bs_pair", "_create"):
+        monkeypatch.setattr(fock, name, refuse)
+    rows = outcome_curves(np.linspace(0.0, PI, 5))
+    assert rows.shape == (5, 5)
 
 
 def test_phase_gram_check_rejects_a_non_hermitian_matrix():
