@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .chsh import max_chsh_values
-from .experiment import RunConfig, _integer, witness_from_run
+from .experiment import MAX_GRID_POINTS, RunConfig, _integer, witness_from_run
 from .fock import coincidence_curves
 from .qstate import (
     DensityOperator,
@@ -51,6 +51,22 @@ def _fmt(x: float) -> str:
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# one row of report.json's count table as _canonical_json writes it
+_COUNT_ROW = (
+    '    {{\n      "n_aa": {n_aa},\n      "n_ac": {n_ac},\n      "n_ca": {n_ca},\n'
+    '      "n_cc": {n_cc},\n      "n_other": {n_other},\n      "phi": {phi!r}\n    }}'
+)
+
+
+def _report_json(report: dict) -> str:
+    """_canonical_json(report), with the count rows written from _COUNT_ROW:
+    json.dumps falls back to its pure-Python encoder whenever it indents."""
+    text = _canonical_json({**report, "counts": []})
+    head, _, tail = text.partition('\n  "counts": [],\n')
+    rows = ",\n".join(_COUNT_ROW.format_map(rec) for rec in report["counts"])
+    return f'{head}\n  "counts": [\n{rows}\n  ],\n{tail}'
 
 
 def _csv(header: str, rows) -> str:
@@ -118,6 +134,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if n < 1:
         raise ValueError("phase grid is empty")
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"phase grid has more than {MAX_GRID_POINTS} points, got {n}")
     return np.linspace(start, stop, n)
 
 
@@ -181,8 +199,8 @@ def cmd_purity(args) -> int:
 def cmd_werner_scan(args) -> int:
     if not (0.0 <= args.pmin < args.pmax <= 1.0):
         raise ValueError(f"bad range: need 0 <= pmin < pmax <= 1, got [{args.pmin}, {args.pmax}]")
-    if args.steps < 2:
-        raise ValueError(f"steps must be at least 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_GRID_POINTS:
+        raise ValueError(f"steps must be in [2, {MAX_GRID_POINTS}], got {args.steps}")
     ps = np.linspace(args.pmin, args.pmax, args.steps)
     states = werner_stack(ps)
     columns = (
@@ -245,7 +263,7 @@ def cmd_simulate(args) -> int:
     with open(os.path.join(args.out, "counts.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv("phi,n_cc,n_ca,n_ac,n_aa,n_other", counts_rows))
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(_canonical_json(report))
+        fh.write(_report_json(report))
 
     w = report["witness"]
     print(f"witness {w['verdict']} (significance {w['significance']:.2f})")

@@ -9,6 +9,7 @@ pi, and witness_from_run strings the stages into a JSON-ready report.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -32,7 +33,7 @@ MIN_SIGNIFICANCE = 3.0
 # factor by which each coalescence channel is undercounted by bucket
 # detectors behind a polarizing splitter: a two-photon port registers as two
 # detectors only when the photons split H/V, probability 1/2 per side
-_BUCKET_KEEP = np.array([0.25, 0.5, 0.5])  # cc, ca, ac
+_BUCKET_KEEP = (0.25, 0.5, 0.5)  # cc, ca, ac
 _CORRECTION_FACTORS = {
     "number_resolving": dict.fromkeys(CHANNELS, 1.0),
     "bucket_with_pbs": {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0},
@@ -40,6 +41,18 @@ _CORRECTION_FACTORS = {
 
 # numpy's multinomial takes the shot count as a C long
 MAX_SHOTS = 2**63 - 1
+
+# most points in a phase grid, a Werner scan or a phase scan; it also keeps
+# every phase index within the one uint32 word _phase_states gives it
+MAX_GRID_POINTS = 10**6
+
+# SeedSequence's hash-mix constants (numpy/random/bit_generator.pyx); numpy's
+# stream-compatibility policy freezes them
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
 
 
 def _correction_factors(detector_model: str) -> dict[str, float]:
@@ -92,9 +105,12 @@ class RunConfig:
         grid = self.phi_grid
         if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__"):
             raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
-        grid = tuple(_finite("phi_grid entry", p) for p in grid)
+        # one entry past the limit is enough to refuse the grid
+        grid = tuple(_finite("phi_grid entry", p) for p in islice(grid, MAX_GRID_POINTS + 1))
         if not grid:
             raise ValueError("phi_grid is empty")
+        if len(grid) > MAX_GRID_POINTS:
+            raise ValueError(f"phi_grid has more than {MAX_GRID_POINTS} phases")
         object.__setattr__(self, "phi_grid", grid)
         shots = _integer(
             "shots_per_phase", self.shots_per_phase, 1, MAX_SHOTS,
@@ -141,20 +157,86 @@ def outcome_distribution(phi: float, visibility: float, background_rate: float) 
 
 def simulate_counts(config: RunConfig) -> np.ndarray:
     """Draw the (phases, 5) int64 event table, columns in CHANNELS order;
-    deterministic for a fixed seed."""
+    deterministic for a fixed seed.
+
+    Row k is drawn from its own stream, default_rng([seed, k]), so it does
+    not depend on the rest of the grid.
+    """
     probs = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
     table = np.empty(probs.shape, dtype=np.int64)
+    shots = config.shots_per_phase
     bucket = config.detector_model == "bucket_with_pbs"
-    for k, row in enumerate(probs):
-        # one child stream per phase so the table is stable under grid reordering
-        rng = np.random.default_rng([config.seed, k])
-        counts = rng.multinomial(config.shots_per_phase, row)
+    generators = _phase_generators(config.seed, len(probs))
+    for k, (rng, row) in enumerate(zip(generators, probs)):
+        counts = rng.multinomial(shots, row)
         if bucket:
-            kept = rng.binomial(counts[:3], _BUCKET_KEEP)
-            counts[4] += (counts[:3] - kept).sum()
-            counts[:3] = kept
+            # three scalar draws take the same stream as one broadcast draw, in a third of the time
+            *coalesced, n_aa, n_other = counts.tolist()
+            kept = [rng.binomial(n, p) for n, p in zip(coalesced, _BUCKET_KEEP)]
+            counts = (*kept, n_aa, n_other + sum(coalesced) - sum(kept))
         table[k] = counts
     return table
+
+
+def _phase_generators(seed: int, n: int):
+    """The n Generators default_rng([seed, k]), k = 0 .. n-1, seeded from one
+    vectorized SeedSequence pass instead of one SeedSequence per phase."""
+    # numpy.random costs ~14 ms to import, so only a simulation pays it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhaseSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"phase seed holds 4 uint64 words, asked for {n_words} {dtype}")
+            return self.state
+
+    return (Generator(PCG64(PhaseSeed(state))) for state in _phase_states(seed, np.arange(n)))
+
+
+def _phase_states(seed: int, phases: np.ndarray) -> np.ndarray:
+    """(len(phases), 4) uint64 array whose row for phase index k is
+    SeedSequence([seed, k]).generate_state(4, np.uint64).
+
+    SeedSequence's mix runs on all entropy pools at once, in wrapping uint32
+    arithmetic. The entropy [seed words, k] must fit its four-word pool: seed
+    below 2**64 (two words) and every k below 2**32 (one word).
+    """
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((_SS_POOL_WORDS, len(phases)), dtype=np.uint32)
+    pool[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = phases
+
+    hashmix = _ss_hashmix(_SS_INIT_A, _SS_MULT_A)
+    for i in range(_SS_POOL_WORDS):
+        pool[i] = hashmix(pool[i])
+    for src in range(_SS_POOL_WORDS):
+        for dst in range(_SS_POOL_WORDS):
+            if src != dst:
+                mixed = np.uint32(_SS_MIX_L) * pool[dst] - np.uint32(_SS_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+
+    # generate_state(4, np.uint64): eight output words cycling over the pool,
+    # paired little-endian into uint64; PCG64 reads each row's buffer, so rows are contiguous
+    output = _ss_hashmix(_SS_INIT_B, _SS_MULT_B)
+    state = np.array([output(pool[i % _SS_POOL_WORDS]) for i in range(8)], dtype=np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
+
+
+def _ss_hashmix(hash_const: int, multiplier: int):
+    """SeedSequence's hashmix on uint32 arrays, with its running hash constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
 
 
 @dataclass(frozen=True)

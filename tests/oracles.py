@@ -10,6 +10,7 @@ from math import sqrt
 import numpy as np
 
 from renyi2.chsh import PAULI, correlation_matrix
+from renyi2.experiment import outcome_distributions
 from renyi2.fock import (
     DEFAULT_CAP,
     FockState,
@@ -172,3 +173,22 @@ def phase_gram() -> np.ndarray:
     _check_phase_gram(gram)
     gram.setflags(write=False)
     return gram
+
+
+# -- one seed sequence per phase -------------------------------------------------
+
+
+def loop_simulate_counts(config) -> np.ndarray:
+    """The event table drawn phase by phase from default_rng([seed, k]), with
+    the bucket losses taken in one broadcast binomial draw."""
+    probs = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
+    table = np.empty(probs.shape, dtype=np.int64)
+    for k, row in enumerate(probs):
+        rng = np.random.default_rng([config.seed, k])
+        counts = rng.multinomial(config.shots_per_phase, row)
+        if config.detector_model == "bucket_with_pbs":
+            kept = rng.binomial(counts[:3], np.array([0.25, 0.5, 0.5]))  # cc, ca, ac
+            counts[4] += (counts[:3] - kept).sum()
+            counts[:3] = kept
+        table[k] = counts
+    return table

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renyi2.cli import main
+from renyi2 import cli
+from renyi2.cli import _canonical_json, _report_json, main
+from renyi2.experiment import MAX_GRID_POINTS, MAX_SHOTS, RunConfig, witness_from_run
 from renyi2.qstate import random_density
 
 PI = np.pi
@@ -224,6 +228,35 @@ def test_phase_scan_rejects_bad_grids(capsys):
     assert code != 0 and "start:stop:n" in err
     code, _, err = run_cli(capsys, "phase-scan", "--grid", "0:1:0")
     assert code != 0 and "empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["werner-scan", "--steps", str(10**18)], ["phase-scan", "--grid", f"0:1:{10**18}"]],
+    ids=["steps", "grid"],
+)
+def test_grid_sizes_are_bounded_before_allocation(argv):
+    code, err = run_in_process(argv)
+    assert code == 2 and str(MAX_GRID_POINTS) in err
+    assert_contract(code, err, argv)
+
+
+def test_grid_limit_admits_exactly_max_points(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert run_in_process(["werner-scan", "--steps", "10"]) == (0, "")
+    assert run_in_process(["phase-scan", "--grid", "0:1:10"]) == (0, "")
+    for argv in (["werner-scan", "--steps", "11"], ["phase-scan", "--grid", "0:1:11"]):
+        code, err = run_in_process(argv)
+        assert code == 2 and "10" in err
+        assert_contract(code, err, argv)
+
+
+def test_negative_grid_start_needs_the_equals_form():
+    # argparse reads a value starting with "-" as an option
+    assert run_in_process(["phase-scan", "--grid=-1:1:5"]) == (0, "")
+    code, err = run_in_process(["phase-scan", "--grid", "-1:1:5"])
+    assert code == 2 and "expected one argument" in err
+    assert_contract(code, err, "space form")
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -510,7 +543,51 @@ def test_fuzzed_matrix_file_keeps_the_contract(data):
         assert_contract(*run_purity(data, tmp), data)
 
 
+# -- report.json template ----------------------------------------------------------
+
+
+@functools.cache
+def _sample_report():
+    return witness_from_run(RunConfig(phi_grid=tuple(np.linspace(0.0, PI, 5)), shots_per_phase=100, seed=3))
+
+
+def _report_with_counts(counts):
+    return {**_sample_report(), "counts": counts}
+
+
+def _count_row(phi, n_cc, n_ca, n_ac, n_aa, n_other):
+    return {"phi": phi, "n_cc": n_cc, "n_ca": n_ca, "n_ac": n_ac, "n_aa": n_aa, "n_other": n_other}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.builds(
+        _count_row,
+        st.floats(allow_nan=False, allow_infinity=False),
+        *[st.integers(0, MAX_SHOTS)] * 5,
+    ),
+    min_size=1, max_size=5,
+))
+@example([
+    _count_row(-0.0, 0, MAX_SHOTS, 0, 0, 0),
+    _count_row(5e-324, MAX_SHOTS, 0, 1, 2, 3),
+    _count_row(1e300, 0, 0, 0, 0, MAX_SHOTS),
+])
+def test_report_template_matches_canonical_json(counts):
+    report = _report_with_counts(counts)
+    assert _report_json(report) == _canonical_json(report)
+
+
 # -- entry point -------------------------------------------------------------------
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_help():

@@ -1,13 +1,16 @@
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renyi2 import experiment
 from renyi2.experiment import (
     CHANNELS,
+    MAX_GRID_POINTS,
     MAX_SHOTS,
     ChannelEstimate,
     RunConfig,
@@ -18,7 +21,10 @@ from renyi2.experiment import (
     simulate_counts,
     witness_from_run,
     _correction_factors,
+    _phase_states,
 )
+
+from oracles import loop_simulate_counts
 
 PI = np.pi
 GRID25 = tuple(np.linspace(0.0, PI, 25))
@@ -180,6 +186,48 @@ def test_simulate_counts_deterministic_and_complete():
     assert a.dtype == np.int64 and a.shape == (len(GRID25), len(CHANNELS))
     assert np.array_equal(a, b)
     assert np.all(a.sum(axis=1) == 2000)
+
+
+def test_run_config_bounds_the_grid_without_reading_past_the_limit(monkeypatch):
+    monkeypatch.setattr(experiment, "MAX_GRID_POINTS", 4)
+    assert len(RunConfig(phi_grid=(0.0, 1.0, 2.0, 3.0), shots_per_phase=1).phi_grid) == 4
+    with pytest.raises(ValueError, match="more than 4 phases"):
+        RunConfig(phi_grid=(0.0, 1.0, 2.0, 3.0, 4.0), shots_per_phase=1)
+    # an endless grid is refused after limit + 1 entries
+    with pytest.raises(ValueError, match="more than 4 phases"):
+        RunConfig(phi_grid=itertools.repeat(0.5), shots_per_phase=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, MAX_GRID_POINTS))
+@example(0, 0)
+@example(2**32 - 1, 1)
+@example(2**32, MAX_GRID_POINTS - 1)
+@example(2**64 - 1, MAX_GRID_POINTS)
+def test_phase_state_rows_are_numpy_seed_sequence_states(seed, k):
+    rows = _phase_states(seed, np.array([0, k]))
+    for phase, row in zip((0, k), rows):
+        expected = np.random.SeedSequence([seed, phase]).generate_state(4, np.uint64)
+        assert row.dtype == np.uint64 and np.array_equal(row, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    shots=st.integers(1, MAX_SHOTS),
+    detector_model=st.sampled_from(["number_resolving", "bucket_with_pbs"]),
+    visibility=st.floats(0.0, 1.0),
+    n_phases=st.integers(1, 12),
+)
+@example(seed=0, shots=1, detector_model="bucket_with_pbs", visibility=1.0, n_phases=3)
+@example(seed=2**64 - 1, shots=MAX_SHOTS, detector_model="bucket_with_pbs", visibility=0.5, n_phases=3)
+@example(seed=7, shots=MAX_SHOTS, detector_model="number_resolving", visibility=0.9, n_phases=3)
+def test_simulate_counts_matches_one_generator_per_phase(seed, shots, detector_model, visibility, n_phases):
+    cfg = RunConfig(
+        phi_grid=tuple(np.linspace(0.0, PI, n_phases)), shots_per_phase=shots,
+        visibility=visibility, background_rate=0.01, seed=seed, detector_model=detector_model,
+    )
+    assert np.array_equal(simulate_counts(cfg), loop_simulate_counts(cfg))
 
 
 def test_simulate_counts_seed_changes_table():
