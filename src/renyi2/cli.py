@@ -7,15 +7,19 @@ keys) so identical data is byte-identical on disk.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .chsh import max_chsh_values
-from .experiment import MAX_GRID_POINTS, RunConfig, _integer, witness_from_run
-from .fock import coincidence_curves
+from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, _integer, witness_from_run
+from .fock import _CURVE_FIELDS, coincidence_curves
 from .qstate import (
     DensityOperator,
     make_density,
@@ -34,17 +38,6 @@ from .two_copy import (
     witness_margins,
 )
 
-_CONFIG_FIELDS = (
-    "phi_grid",
-    "shots_per_phase",
-    "visibility",
-    "background_rate",
-    "seed",
-    "detector_model",
-)
-_REQUIRED_FIELDS = ("phi_grid", "shots_per_phase")
-
-
 def _fmt(x: float) -> str:
     return np.format_float_scientific(float(x), unique=True)
 
@@ -53,26 +46,38 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# one row of report.json's count table as _canonical_json writes it
-_COUNT_ROW = (
-    '    {{\n      "n_aa": {n_aa},\n      "n_ac": {n_ac},\n      "n_ca": {n_ca},\n'
-    '      "n_cc": {n_cc},\n      "n_other": {n_other},\n      "phi": {phi!r}\n    }}'
-)
+def _table(keys, rows, fmt: str) -> str:
+    """Rows of Python floats and ints, one cell per key, as "csv" or "json".
+
+    CSV is a header line, then floats through _fmt and ints through str.
+    JSON is byte for byte _canonical_json of the rows as dicts, NaN and inf
+    refused alike, but each row is written from one template of repr cells
+    (json writes Python numbers as repr): json.dumps falls back to its
+    pure-Python encoder whenever it indents.
+    """
+    if fmt == "csv":
+        lines = [",".join(keys)]
+        lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    rows = list(rows)
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("a table value is not finite, which JSON cannot represent")
+    members = (
+        json.dumps(keys[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}!r}}"
+        for i in sorted(range(len(keys)), key=keys.__getitem__)
+    )
+    template = "  {{\n    " + ",\n    ".join(members) + "\n  }}"
+    body = ",\n".join(template.format(*row) for row in rows)
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def _report_json(report: dict) -> str:
-    """_canonical_json(report), with the count rows written from _COUNT_ROW:
-    json.dumps falls back to its pure-Python encoder whenever it indents."""
+    """_canonical_json(report), with the count rows written by _table."""
     text = _canonical_json({**report, "counts": []})
     head, _, tail = text.partition('\n  "counts": [],\n')
-    rows = ",\n".join(_COUNT_ROW.format_map(rec) for rec in report["counts"])
-    return f'{head}\n  "counts": [\n{rows}\n  ],\n{tail}'
-
-
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    rows = map(itemgetter(*_COUNT_FIELDS), report["counts"])
+    counts = _table(_COUNT_FIELDS, rows, "json").rstrip().replace("\n", "\n  ")
+    return f'{head}\n  "counts": {counts},\n{tail}'
 
 
 def _emit(text: str, out_path) -> None:
@@ -167,20 +172,17 @@ def cmd_purity(args) -> int:
         }
         _emit(_canonical_json(payload), args.out)
     elif args.format == "csv":
-        header = (
-            "p_cc,p_ca,p_ac,p_aa,"
-            "tr_rho2_rec,tr_rho2,tr_rhoA2_rec,tr_rhoA2,tr_rhoB2_rec,tr_rhoB2,"
-            "margin_a,margin_b"
+        keys = (
+            "p_cc", "p_ca", "p_ac", "p_aa",
+            "tr_rho2_rec", "tr_rho2", "tr_rhoA2_rec", "tr_rhoA2", "tr_rhoB2_rec", "tr_rhoB2",
+            "margin_a", "margin_b",
         )
-        row = [
-            _fmt(v)
-            for v in (
-                p.p_cc, p.p_ca, p.p_ac, p.p_aa,
-                rec[0], direct[0], rec[1], direct[1], rec[2], direct[2],
-                verdict.margin_a, verdict.margin_b,
-            )
-        ]
-        _emit(_csv(header, [row]), args.out)
+        row = (
+            p.p_cc, p.p_ca, p.p_ac, p.p_aa,
+            rec[0], direct[0], rec[1], direct[1], rec[2], direct[2],
+            verdict.margin_a, verdict.margin_b,
+        )
+        _emit(_table(keys, [row], "csv"), args.out)
     else:
         lines = [
             f"state: {args.state}",
@@ -210,28 +212,13 @@ def cmd_werner_scan(args) -> int:
         max_chsh_values(states, 2, 2),
     )
     keys = ("p", "ppt_min_eig", "entropic_margin", "max_chsh")
-    rows = [dict(zip(keys, values)) for values in zip(*(c.tolist() for c in columns))]
-    if args.format == "json":
-        _emit(_canonical_json(rows), args.out)
-    else:
-        body = [[_fmt(r[k]) for k in keys] for r in rows]
-        _emit(_csv(",".join(keys), body), args.out)
+    _emit(_table(keys, zip(*(c.tolist() for c in columns)), args.format), args.out)
     return 0
 
 
 def cmd_phase_scan(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi, 25)
-    rows = coincidence_curves(grid)
-    if args.format == "json":
-        payload = [
-            {"phi": phi, "p_cc": cc, "p_ca": ca, "p_ac": ac, "p_aa": aa}
-            for phi, cc, ca, ac, aa in rows
-        ]
-        _emit(_canonical_json(payload), args.out)
-    else:
-        header = "phi,p_cc,p_ca,p_ac,p_aa"
-        body = [[_fmt(v) for v in row] for row in rows]
-        _emit(_csv(header, body), args.out)
+    _emit(_table(_CURVE_FIELDS, coincidence_curves(grid), args.format), args.out)
     return 0
 
 
@@ -243,27 +230,23 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"malformed config file {args.config}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    fields = dataclasses.fields(RunConfig)
+    unknown = sorted(set(raw).difference(f.name for f in fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-    missing = [f for f in _REQUIRED_FIELDS if f not in raw]
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ValueError(f"config is missing required field(s): {', '.join(missing)}")
     if args.seed is not None:
-        raw["seed"] = args.seed
+        raw.update(seed=args.seed)
     config = RunConfig(**raw)
 
     report = witness_from_run(config)
 
     os.makedirs(args.out, exist_ok=True)
-    counts_rows = [
-        [_fmt(rec["phi"])] + [str(rec[k]) for k in ("n_cc", "n_ca", "n_ac", "n_aa", "n_other")]
-        for rec in report["counts"]
-    ]
-    with open(os.path.join(args.out, "counts.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv("phi,n_cc,n_ca,n_ac,n_aa,n_other", counts_rows))
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(_report_json(report))
+    rows = map(itemgetter(*_COUNT_FIELDS), report["counts"])
+    _emit(_table(_COUNT_FIELDS, rows, "csv"), os.path.join(args.out, "counts.csv"))
+    _emit(_report_json(report), os.path.join(args.out, "report.json"))
 
     w = report["witness"]
     print(f"witness {w['verdict']} (significance {w['significance']:.2f})")

@@ -8,7 +8,7 @@ pi, and witness_from_run strings the stages into a JSON-ready report.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from numbers import Integral, Real
 
@@ -121,19 +121,13 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 <= _finite(name, value) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+            object.__setattr__(self, name, float(value))
         seed = _integer("seed", self.seed, 0, 2**64 - 1, "a 64-bit unsigned integer")
         object.__setattr__(self, "seed", seed)
         _correction_factors(self.detector_model)
 
     def as_dict(self) -> dict:
-        return {
-            "phi_grid": [float(p) for p in self.phi_grid],
-            "shots_per_phase": self.shots_per_phase,
-            "visibility": float(self.visibility),
-            "background_rate": float(self.background_rate),
-            "seed": self.seed,
-            "detector_model": self.detector_model,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "phi_grid": list(self.phi_grid)}
 
 
 def outcome_distributions(phi_grid, visibility: float, background_rate: float) -> np.ndarray:

@@ -432,6 +432,10 @@ def outcome_curves(phi_grid) -> np.ndarray:
     return CURVE_OFFSETS + cos2[:, None] * CURVE_AMPLITUDES
 
 
+# keys of one coincidence_curves row
+_CURVE_FIELDS = ("phi", "p_cc", "p_ca", "p_ac", "p_aa")
+
+
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:
     """Rows (phi, p_cc, p_ca, p_ac, p_aa) of the source state's outcome curves."""
     phi = np.array([float(p) for p in phi_grid])

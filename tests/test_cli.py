@@ -543,6 +543,76 @@ def test_fuzzed_matrix_file_keeps_the_contract(data):
         assert_contract(*run_purity(data, tmp), data)
 
 
+# flag values per subcommand; "{tmp}" stands for a fresh temporary directory
+# holding state.json and run.json, the only place an --out may point. Sizes
+# that would run stay at most 10**4; larger ones must be refused unallocated.
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "", "abc", "0x10"]),
+)
+SIZE_TEXT = st.one_of(
+    st.integers(-2, 10**4).map(str),
+    st.sampled_from([str(MAX_GRID_POINTS + 1), str(10**18), "1e3", "", "ten"]),
+)
+OUT_PATHS = st.sampled_from(["{tmp}/out", "{tmp}", "{tmp}/no/such/dir/out", "{tmp}/state.json"])
+ARGV_FLAGS = {
+    "purity": {
+        "--state": st.one_of(
+            st.sampled_from(["singlet", "file:{tmp}/state.json", "file:{tmp}/missing.json", "file:{tmp}"]),
+            NUMBER_TEXT.map("werner:{}".format),
+            st.text(max_size=6).filter(lambda s: not s.startswith("file:")),
+        ),
+        "--format": st.sampled_from(["text", "csv", "json", "xml", ""]),
+        "--out": OUT_PATHS,
+    },
+    "werner-scan": {
+        "--pmin": NUMBER_TEXT,
+        "--pmax": NUMBER_TEXT,
+        "--steps": SIZE_TEXT,
+        "--format": st.sampled_from(["csv", "json", "text"]),
+        "--out": OUT_PATHS,
+    },
+    "phase-scan": {
+        "--grid": st.one_of(st.tuples(NUMBER_TEXT, NUMBER_TEXT, SIZE_TEXT).map(":".join), st.text(max_size=6)),
+        "--format": st.sampled_from(["csv", "json", "text"]),
+        "--out": OUT_PATHS,
+    },
+    "simulate": {
+        "--config": st.sampled_from(["{tmp}/run.json", "{tmp}/state.json", "{tmp}/missing.json", "{tmp}"]),
+        "--out": OUT_PATHS,
+        "--seed": st.one_of(st.integers(-2, 2**65).map(str), NUMBER_TEXT),
+    },
+}
+
+
+@st.composite
+def fuzzed_argv(draw, subcommand):
+    """subcommand with any subset of its flags in any order, each as
+    `--flag value` or `--flag=value`, now and then with a stray token."""
+    flags = ARGV_FLAGS[subcommand]
+    argv = [subcommand]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(flags[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        stray = draw(st.sampled_from(["--help", "--bogus", "-x", "extra", "--"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@pytest.mark.parametrize("subcommand", sorted(ARGV_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_contract(subcommand, data):
+    argv = data.draw(fuzzed_argv(subcommand))
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "state.json").write_text(json.dumps(FUZZ_MATRIX_FILE))
+        Path(tmp, "run.json").write_text(json.dumps(FUZZ_CONFIG))
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        assert_contract(*run_in_process(argv), argv)
+
+
 # -- report.json template ----------------------------------------------------------
 
 
@@ -576,6 +646,52 @@ def _count_row(phi, n_cc, n_ca, n_ac, n_aa, n_other):
 def test_report_template_matches_canonical_json(counts):
     report = _report_with_counts(counts)
     assert _report_json(report) == _canonical_json(report)
+
+
+# -- table writer ------------------------------------------------------------------
+
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, MAX_SHOTS))
+
+
+@st.composite
+def tables(draw, min_rows=0):
+    """(keys, rows): distinct keys in any order, rows of finite floats and ints."""
+    keys = tuple(draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)))
+    row = st.tuples(*[CELLS] * len(keys))
+    return keys, draw(st.lists(row, min_size=min_rows, max_size=5))
+
+
+EDGE_TABLE = (("phi", "n_cc", "a", "Z"), [(-0.0, 0, 5e-324, MAX_SHOTS), (1e300, MAX_SHOTS, 0, -0.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+@example(EDGE_TABLE)
+@example((("b", "a"), []))
+def test_table_json_matches_canonical_json(table):
+    keys, rows = table
+    assert cli._table(keys, rows, "json") == _canonical_json([dict(zip(keys, row)) for row in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+@example(EDGE_TABLE)
+def test_table_csv_joins_formatted_cells(table):
+    keys, rows = table
+    lines = [",".join(keys)]
+    lines += [",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    assert cli._table(keys, iter(rows), "csv") == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables(min_rows=1), st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.data())
+def test_table_json_refuses_non_finite_cells(table, bad, data):
+    keys, rows = table
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(keys) - 1))
+    rows[i] = rows[i][:j] + (bad,) + rows[i][j + 1:]
+    with pytest.raises(ValueError, match="not finite"):
+        cli._table(keys, iter(rows), "json")
 
 
 # -- entry point -------------------------------------------------------------------
