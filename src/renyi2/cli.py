@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -72,11 +71,10 @@ def _table(keys, rows, fmt: str) -> str:
 
 
 def _report_json(report: dict) -> str:
-    """_canonical_json(report), with the count rows written by _table."""
+    """_canonical_json(report), with the count-row tuples written by _table as objects."""
     text = _canonical_json({**report, "counts": []})
     head, _, tail = text.partition('\n  "counts": [],\n')
-    rows = map(itemgetter(*_COUNT_FIELDS), report["counts"])
-    counts = _table(_COUNT_FIELDS, rows, "json").rstrip().replace("\n", "\n  ")
+    counts = _table(_COUNT_FIELDS, report["counts"], "json").rstrip().replace("\n", "\n  ")
     return f'{head}\n  "counts": {counts},\n{tail}'
 
 
@@ -244,8 +242,7 @@ def cmd_simulate(args) -> int:
     report = witness_from_run(config)
 
     os.makedirs(args.out, exist_ok=True)
-    rows = map(itemgetter(*_COUNT_FIELDS), report["counts"])
-    _emit(_table(_COUNT_FIELDS, rows, "csv"), os.path.join(args.out, "counts.csv"))
+    _emit(_table(_COUNT_FIELDS, report["counts"], "csv"), os.path.join(args.out, "counts.csv"))
     _emit(_report_json(report), os.path.join(args.out, "report.json"))
 
     w = report["witness"]

@@ -1,10 +1,11 @@
 """Stochastic run emulation and the analysis chain on top of it.
 
 simulate_counts draws per-phase multinomial samples from a noise-mixed
-outcome distribution, estimate_probabilities converts counts to proportion
-estimates (including the bucket-detector factor-2 correction),
-fit_interference performs the weighted cosine fit with the period fixed at
-pi, and witness_from_run strings the stages into a JSON-ready report.
+outcome distribution into one int64 table, estimate_probabilities converts
+it to proportion estimates held as read-only arrays (including the
+bucket-detector factor-2 correction), fit_interference performs the weighted
+cosine fit with the period fixed at pi, and witness_from_run strings the
+stages into a JSON-ready report whose counts are rows in _COUNT_FIELDS order.
 """
 
 import math
@@ -20,7 +21,7 @@ from .two_copy import CollisionProbabilities, entropic_witness
 
 CHANNELS = ("cc", "ca", "ac", "aa", "other")
 DETECTOR_MODELS = ("number_resolving", "bucket_with_pbs")
-# keys of one row of the report's count table
+# columns of one row of the report's count table
 _COUNT_FIELDS = ("phi",) + tuple(f"n_{ch}" for ch in CHANNELS)
 
 # weight of the singlet x singlet component in the four-photon source state;
@@ -144,11 +145,6 @@ def outcome_distributions(phi_grid, visibility: float, background_rate: float) -
     return (1.0 - background_rate) * signal + background_rate * np.full(5, 0.2)
 
 
-def outcome_distribution(phi: float, visibility: float, background_rate: float) -> np.ndarray:
-    """The noise-mixed five-class probabilities at one phase."""
-    return outcome_distributions([phi], visibility, background_rate)[0]
-
-
 def simulate_counts(config: RunConfig) -> np.ndarray:
     """Draw the (phases, 5) int64 event table, columns in CHANNELS order;
     deterministic for a fixed seed.
@@ -233,14 +229,14 @@ def _ss_hashmix(hash_const: int, multiplier: int):
     return hashmix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelEstimate:
-    """Per-phase proportion estimates of one outcome channel."""
+    """Per-phase proportion estimates of one outcome channel, as read-only arrays."""
 
-    phi: tuple
-    value: tuple
-    sigma: tuple
-    degenerate: tuple  # True where the raw count was 0 or N (sigma collapses)
+    phi: np.ndarray
+    value: np.ndarray
+    sigma: np.ndarray
+    degenerate: np.ndarray  # True where the raw count was 0 or N (sigma collapses)
 
 
 def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, ChannelEstimate]:
@@ -255,20 +251,22 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     """
     factors = _correction_factors(detector_model)
     phi, table, n_total = _validated_counts(phi_grid, counts)
-    phi = tuple(phi.tolist())
-    return {
-        ch: ChannelEstimate(
+    estimates = {}
+    for ch, n in zip(CHANNELS, table.T):
+        columns = (
             phi,
-            tuple((factors[ch] * (n / n_total)).tolist()),
-            tuple(_binomial_stderr(n, n_total, factors[ch]).tolist()),
-            tuple(((n == 0) | (n == n_total)).tolist()),
+            factors[ch] * (n / n_total),
+            _binomial_stderr(n, n_total, factors[ch]),
+            (n == 0) | (n == n_total),
         )
-        for ch, n in zip(CHANNELS, table.T)
-    }
+        for column in columns:
+            column.flags.writeable = False
+        estimates[ch] = ChannelEstimate(*columns)
+    return estimates
 
 
 def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phases, int64 table, row totals); ValueError naming the first fault."""
+    """(float64 copy of phases, int64 table, row totals); ValueError naming the first fault."""
     phi, raw = np.asarray(phi_grid), np.asarray(counts)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi_grid must be a non-empty sequence of phases, got shape {phi.shape}")
@@ -351,7 +349,8 @@ _MAX_PERIODS = 1000
 
 
 def fit_interference(points) -> FitResult:
-    """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi).
+    """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi) through
+    (phi, y, sigma) points.
 
     The period is fixed at pi. Needs at least 4 points spanning half a
     period and lying within _MAX_PERIODS periods of 0; every standard error
@@ -360,14 +359,17 @@ def fit_interference(points) -> FitResult:
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
     pts = [(float(p), float(y), float(s)) for p, y, s in points]
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 points, got {len(pts)}")
-    phi = np.array([p for p, _, _ in pts])
-    y = np.array([v for _, v, _ in pts])
-    sig = np.array([s for _, _, s in pts])
+    phi, y, sigma = np.array(pts, dtype=float).reshape(len(pts), 3).T.copy()
+    return _fit(phi, y, sigma)
+
+
+def _fit(phi: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitResult:
+    """fit_interference on three float64 arrays of one length."""
+    if len(phi) < 4:
+        raise ValueError(f"need at least 4 points, got {len(phi)}")
     _require_finite("phi", phi)
     _require_finite("y", y)
-    if not np.all(sig > 0.0):  # refuses NaN too
+    if not np.all(sigma > 0.0):  # refuses NaN too
         raise ValueError("standard errors must be positive")
     if np.abs(phi).max() > _MAX_PERIODS * np.pi:
         raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
@@ -382,8 +384,8 @@ def fit_interference(points) -> FitResult:
     if span < np.pi / 2 - 1e-12:
         raise ValueError(f"points span {span:.6g} rad, need at least half a period (pi/2)")
     # SVD of the whitened design: the normal equations would square its condition
-    u, s, vt = np.linalg.svd(x / sig[:, None], full_matrices=False)
-    beta = vt.T @ ((u.T @ (y / sig)) / s)
+    u, s, vt = np.linalg.svd(x / sigma[:, None], full_matrices=False)
+    beta = vt.T @ ((u.T @ (y / sigma)) / s)
     cov = (vt.T / s**2) @ vt
 
     c0, ca, sa = beta
@@ -427,7 +429,8 @@ def witness_from_run(config: RunConfig) -> dict:
     The report's `fits` section is on the raw outcome scale. The witness
     section divides the fitted minima by the singlet component weight so the
     values compare against the two-copy probabilities of the conditioned
-    singlet pair, and calls a violation only beyond MIN_SIGNIFICANCE.
+    singlet pair, and calls a violation only beyond MIN_SIGNIFICANCE. The
+    `counts` section is one tuple per phase, in _COUNT_FIELDS order.
     """
     table = simulate_counts(config)
     estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
@@ -438,7 +441,7 @@ def witness_from_run(config: RunConfig) -> dict:
     for ch in ("ac", "aa"):
         est = estimates[ch]
         sig = _binomial_stderr(table[:, CHANNELS.index(ch)], n_total, factors[ch], shrunk=True)
-        fits[ch] = fit_interference(zip(est.phi, est.value, sig))
+        fits[ch] = _fit(est.phi, est.value, sig)
 
     clamped = False
     minima = {}
@@ -479,10 +482,7 @@ def witness_from_run(config: RunConfig) -> dict:
     }
     return {
         "config": config.as_dict(),
-        "counts": [
-            dict(zip(_COUNT_FIELDS, (phi, *row)))
-            for phi, row in zip(config.phi_grid, table.tolist())
-        ],
+        "counts": list(zip(config.phi_grid, *table.T.tolist())),
         "fits": {"p_ac": fits["ac"].as_dict(), "p_aa": fits["aa"].as_dict()},
         "witness": witness,
     }

@@ -296,6 +296,18 @@ def test_simulate_seed_flag_overrides_config(capsys, tmp_path):
     assert rep_a["counts"] != rep_b["counts"]
 
 
+@pytest.mark.parametrize("detector_model", ["number_resolving", "bucket_with_pbs"])
+def test_parsed_report_re_emits_byte_identical(capsys, tmp_path, detector_model):
+    grid = list(np.linspace(-6.0, 40.0, 25))
+    cfg = write_config(tmp_path / "run.json", phi_grid=grid, detector_model=detector_model)
+    assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+    text = (tmp_path / "report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert [row["phi"] for row in report["counts"]] == grid
+    assert all(set(row) == {"phi", "n_cc", "n_ca", "n_ac", "n_aa", "n_other"} for row in report["counts"])
+    assert _canonical_json(report) == text
+
+
 def test_simulate_flat_config_reports_no_violation(capsys, tmp_path):
     cfg = write_config(tmp_path / "run.json", visibility=0.0)
     code, line, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
@@ -644,8 +656,8 @@ def _count_row(phi, n_cc, n_ca, n_ac, n_aa, n_other):
     _count_row(1e300, 0, 0, 0, 0, MAX_SHOTS),
 ])
 def test_report_template_matches_canonical_json(counts):
-    report = _report_with_counts(counts)
-    assert _report_json(report) == _canonical_json(report)
+    rows = [tuple(row.values()) for row in counts]
+    assert _report_json(_report_with_counts(rows)) == _canonical_json(_report_with_counts(counts))
 
 
 # -- table writer ------------------------------------------------------------------

@@ -16,7 +16,6 @@ from renyi2.experiment import (
     RunConfig,
     estimate_probabilities,
     fit_interference,
-    outcome_distribution,
     outcome_distributions,
     simulate_counts,
     witness_from_run,
@@ -111,9 +110,33 @@ def test_estimator_accepts_any_integer_table_and_numeric_phases():
         ((0.5,), np.array(table, dtype=np.int32)),
     ):
         got = estimate_probabilities(phi, counts, "number_resolving")
-        assert got == want
-    assert want["cc"].phi == (0.5,) and type(want["cc"].phi[0]) is float
-    assert want["cc"].value == (10 / 16,)
+        assert set(got) == set(want)
+        for ch in CHANNELS:
+            for field in ("phi", "value", "sigma", "degenerate"):
+                a, b = getattr(got[ch], field), getattr(want[ch], field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (ch, field)
+    assert np.array_equal(want["cc"].phi, [0.5]) and want["cc"].phi.dtype == np.float64
+    assert np.array_equal(want["cc"].value, [10 / 16])
+
+
+def test_estimates_are_read_only_arrays_of_fixed_dtypes():
+    est = estimate_probabilities([0.0, 0.5], [[10, 0, 0, 5, 1], [3, 3, 3, 3, 0]], "bucket_with_pbs")
+    for ch in CHANNELS:
+        fields = (est[ch].phi, est[ch].value, est[ch].sigma, est[ch].degenerate)
+        assert [a.dtype for a in fields] == [np.float64, np.float64, np.float64, np.bool_]
+        for a in fields:
+            assert a.shape == (2,)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
+def test_estimator_leaves_the_callers_arrays_writeable():
+    phi = np.array([0.0, 0.5])
+    counts = np.array([[10, 0, 0, 5, 1], [3, 3, 3, 3, 0]])
+    est = estimate_probabilities(phi, counts, "number_resolving")
+    assert phi.flags.writeable and counts.flags.writeable
+    phi[0] = 9.0
+    assert est["cc"].phi[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -151,11 +174,11 @@ def test_estimator_rejects_bad_count_tables(phi, counts, match):
 
 
 def test_outcome_distribution_mixture_limits():
-    ideal = outcome_distribution(PI / 2, 1.0, 0.0)
+    ideal = outcome_distributions([PI / 2], 1.0, 0.0)[0]
     assert np.allclose(ideal, [0.3, 0.3, 0.3, 0.1, 0.0], atol=1e-12)
-    flat = outcome_distribution(0.7, 0.0, 0.0)
+    flat = outcome_distributions([0.7], 0.0, 0.0)[0]
     assert np.allclose(flat, [0.25, 0.25, 0.25, 0.25, 0.0], atol=1e-12)
-    bg = outcome_distribution(0.7, 1.0, 1.0)
+    bg = outcome_distributions([0.7], 1.0, 1.0)[0]
     assert np.allclose(bg, [0.2] * 5, atol=1e-12)
 
 
@@ -164,7 +187,7 @@ def test_outcome_distribution_is_a_row_of_the_grid_form():
     table = outcome_distributions(grid, 0.9, 0.05)
     assert table.shape == (11, 5)
     for phi, row in zip(grid, table):
-        assert np.array_equal(outcome_distribution(phi, 0.9, 0.05), row)
+        assert np.array_equal(outcome_distributions([phi], 0.9, 0.05)[0], row)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,7 +197,7 @@ def test_outcome_distribution_is_a_row_of_the_grid_form():
     background=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_mixed_distribution_is_a_probability_vector(phi, visibility, background):
-    probs = outcome_distribution(phi, visibility, background)
+    probs = outcome_distributions([phi], visibility, background)[0]
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -240,7 +263,7 @@ def test_frequencies_converge_to_ideal_curves():
     shots = 1_000_000
     cfg = RunConfig(phi_grid=(0.0, PI / 4, PI / 2), shots_per_phase=shots, seed=314)
     for phi, row in zip(cfg.phi_grid, simulate_counts(cfg)):
-        truth = outcome_distribution(phi, 1.0, 0.0)
+        truth = outcome_distributions([phi], 1.0, 0.0)[0]
         for i, ch in enumerate(CHANNELS):
             sig = np.sqrt(truth[i] * (1.0 - truth[i]) / shots)
             assert abs(row[i] / shots - truth[i]) <= 4.0 * sig + 1e-12, (phi, ch)
@@ -310,7 +333,7 @@ def test_bucket_correction_is_unbiased_against_truth():
     )
     est = estimate_probabilities(cfg.phi_grid, simulate_counts(cfg), "bucket_with_pbs")
     for j, phi in enumerate(cfg.phi_grid):
-        truth = outcome_distribution(phi, 0.965, 0.0)
+        truth = outcome_distributions([phi], 0.965, 0.0)[0]
         for i, ch in enumerate(("cc", "ca", "ac", "aa")):
             sig = est[ch].sigma[j]
             assert abs(est[ch].value[j] - truth[i]) < 4.0 * sig, (phi, ch)
@@ -491,6 +514,10 @@ def test_report_structure_and_determinism():
         assert key in rep["witness"]
     assert rep["config"] == cfg.as_dict()
     assert len(rep["counts"]) == len(GRID25)
+    phis, *columns = zip(*rep["counts"])
+    assert list(phis) == list(cfg.phi_grid)
+    assert np.array_equal(np.array(columns).T, simulate_counts(cfg))
+    assert all(type(n) is int for row in rep["counts"] for n in row[1:])
     again = witness_from_run(cfg)
     assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
 
