@@ -4,117 +4,47 @@ Simulates the direct measurement of Renyi-2 entropy of bipartite polarization
 states: two-copy collision probabilities, an entropic entanglement witness, a
 CHSH baseline, a bosonic model of the four-photon source, and a stochastic
 experiment emulator with curve fitting.
+
+Each public name is listed once, under its layer, and the layer is imported
+on first access (PEP 562), so `import renyi2` loads neither numpy nor a layer.
 """
 
-from renyi2.chsh import (
-    KERNEL_BACKEND,
-    CorrelationMatrix,
-    correlation_matrix,
-    max_chsh,
-    max_chsh_values,
-)
-from renyi2.experiment import (
-    FitResult,
-    RunConfig,
-    estimate_probabilities,
-    fit_interference,
-    simulate_counts,
-    witness_from_run,
-)
-from renyi2.fock import (
-    CoincidenceRecord,
-    FockState,
-    ModeIndex,
-    OutcomeClass,
-    Polarization,
-    apply_creation,
-    beam_splitter,
-    classify_outcome,
-    coincidence_curves,
-    coincidence_probabilities,
-    conditional_state_after_anticoalescence,
-    hamiltonian_expansion,
-    hamiltonian_four_photon_term,
-    outcome_curves,
-    spdc_four_photon_state,
-    vacuum,
-)
-from renyi2.qstate import (
-    DensityOperator,
-    density_stack,
-    make_density,
-    partial_trace,
-    ppt_min_eigenvalue,
-    ppt_min_eigenvalues,
-    purity,
-    random_density,
-    singlet,
-    tensor,
-    werner,
-    werner_stack,
-)
-from renyi2.two_copy import (
-    CollisionProbabilities,
-    ProjectorPair,
-    WitnessVerdict,
-    collision_probabilities,
-    collision_quadruples,
-    entropic_witness,
-    projectors,
-    purities_from_probabilities,
-    witness_margins,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DensityOperator",
-    "density_stack",
-    "make_density",
-    "partial_trace",
-    "ppt_min_eigenvalue",
-    "ppt_min_eigenvalues",
-    "purity",
-    "random_density",
-    "singlet",
-    "tensor",
-    "werner",
-    "werner_stack",
-    "CollisionProbabilities",
-    "ProjectorPair",
-    "WitnessVerdict",
-    "collision_probabilities",
-    "collision_quadruples",
-    "entropic_witness",
-    "projectors",
-    "purities_from_probabilities",
-    "witness_margins",
-    "CorrelationMatrix",
-    "KERNEL_BACKEND",
-    "correlation_matrix",
-    "max_chsh",
-    "max_chsh_values",
-    "CoincidenceRecord",
-    "FockState",
-    "ModeIndex",
-    "OutcomeClass",
-    "Polarization",
-    "apply_creation",
-    "beam_splitter",
-    "classify_outcome",
-    "coincidence_curves",
-    "coincidence_probabilities",
-    "conditional_state_after_anticoalescence",
-    "hamiltonian_expansion",
-    "hamiltonian_four_photon_term",
-    "outcome_curves",
-    "spdc_four_photon_state",
-    "vacuum",
-    "FitResult",
-    "RunConfig",
-    "estimate_probabilities",
-    "fit_interference",
-    "simulate_counts",
-    "witness_from_run",
-    "__version__",
-]
+_EXPORTS = {
+    "qstate": (
+        "DensityOperator", "density_stack", "make_density", "partial_trace", "ppt_min_eigenvalue",
+        "ppt_min_eigenvalues", "purity", "random_density", "singlet", "tensor", "werner", "werner_stack",
+    ),
+    "two_copy": (
+        "CollisionProbabilities", "WitnessVerdict", "collision_probabilities", "collision_quadruples",
+        "entropic_witness", "purities_from_probabilities", "witness_margins",
+    ),
+    "chsh": ("CorrelationMatrix", "KERNEL_BACKEND", "correlation_matrix", "max_chsh", "max_chsh_values"),
+    "fock": (
+        "CoincidenceRecord", "FockState", "ModeIndex", "OutcomeClass", "Polarization", "apply_creation",
+        "beam_splitter", "classify_outcome", "coincidence_curves", "coincidence_probabilities",
+        "conditional_state_after_anticoalescence", "hamiltonian_expansion",
+        "hamiltonian_four_photon_term", "outcome_curves", "spdc_four_photon_state", "vacuum",
+    ),
+    "experiment": (
+        "FitResult", "RunConfig", "estimate_probabilities", "fit_interference", "simulate_counts",
+        "witness_from_run",
+    ),
+}
+_LAYER = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_LAYER, "__version__"]
+
+
+def __getattr__(name):
+    # an AttributeError lets `from renyi2 import cli` fall back to the submodule
+    if name not in _LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAYER[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -100,12 +100,18 @@ def _load_state(spec: str) -> DensityOperator:
     raise ValueError(f"unknown state family {spec!r} (expected singlet, werner:P or file:PATH)")
 
 
-def _load_matrix_file(path: str) -> DensityOperator:
+def _load_json(path: str, what: str):
+    """The JSON value held in the file at path; ValueError if it holds none."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed matrix file {path}: {exc}") from None
+            return json.load(fh)
+    # json.load raises RecursionError on nesting deeper than the interpreter's stack
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from None
+
+
+def _load_matrix_file(path: str) -> DensityOperator:
+    data = _load_json(path, "matrix")
     try:
         dim_a, dim_b = (
             _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
@@ -221,11 +227,7 @@ def cmd_phase_scan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed config file {args.config}: {exc}") from None
+    raw = _load_json(args.config, "config")
     if not isinstance(raw, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
     fields = dataclasses.fields(RunConfig)

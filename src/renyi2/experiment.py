@@ -3,9 +3,10 @@
 simulate_counts draws per-phase multinomial samples from a noise-mixed
 outcome distribution into one int64 table, estimate_probabilities converts
 it to proportion estimates held as read-only arrays (including the
-bucket-detector factor-2 correction), fit_interference performs the weighted
-cosine fit with the period fixed at pi, and witness_from_run strings the
-stages into a JSON-ready report whose counts are rows in _COUNT_FIELDS order.
+bucket-detector factor-2 correction), fit_interference(phi, y, sigma)
+performs the weighted cosine fit with the period fixed at pi on three 1-D
+arrays of one length, and witness_from_run strings the stages into a
+JSON-ready report whose counts are rows in _COUNT_FIELDS order.
 """
 
 import math
@@ -15,11 +16,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .fock import outcome_curves
+from .fock import CHANNELS, outcome_curves
 from .qstate import _require_finite
 from .two_copy import CollisionProbabilities, entropic_witness
 
-CHANNELS = ("cc", "ca", "ac", "aa", "other")
 DETECTOR_MODELS = ("number_resolving", "bucket_with_pbs")
 # columns of one row of the report's count table
 _COUNT_FIELDS = ("phi",) + tuple(f"n_{ch}" for ch in CHANNELS)
@@ -37,7 +37,7 @@ MIN_SIGNIFICANCE = 3.0
 _BUCKET_KEEP = (0.25, 0.5, 0.5)  # cc, ca, ac
 _CORRECTION_FACTORS = {
     "number_resolving": dict.fromkeys(CHANNELS, 1.0),
-    "bucket_with_pbs": {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0},
+    "bucket_with_pbs": {**dict.fromkeys(CHANNELS, 1.0), **{ch: 1.0 / k for ch, k in zip(CHANNELS, _BUCKET_KEEP)}},
 }
 
 # numpy's multinomial takes the shot count as a C long
@@ -76,6 +76,14 @@ def _finite(name: str, x) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {x!r}")
+    return value
+
+
+def _probability(name: str, x) -> float:
+    """x as a float in [0, 1]; ValueError naming the field otherwise."""
+    value = _finite(name, x)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
     return value
 
 
@@ -119,10 +127,7 @@ class RunConfig:
         )
         object.__setattr__(self, "shots_per_phase", shots)
         for name in ("visibility", "background_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= _finite(name, value) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _probability(name, getattr(self, name)))
         seed = _integer("seed", self.seed, 0, 2**64 - 1, "a 64-bit unsigned integer")
         object.__setattr__(self, "seed", seed)
         _correction_factors(self.detector_model)
@@ -140,6 +145,8 @@ def outcome_distributions(phi_grid, visibility: float, background_rate: float) -
     side coalesces independently with probability 1/2. A `background_rate`
     fraction of accidentals is uniform over the five classes.
     """
+    visibility = _probability("visibility", visibility)
+    background_rate = _probability("background_rate", background_rate)
     flat = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
     signal = visibility * outcome_curves(phi_grid) + (1.0 - visibility) * flat
     return (1.0 - background_rate) * signal + background_rate * np.full(5, 0.2)
@@ -348,9 +355,9 @@ _MAX_CONDITION = 1e12
 _MAX_PERIODS = 1000
 
 
-def fit_interference(points) -> FitResult:
-    """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi) through
-    (phi, y, sigma) points.
+def fit_interference(phi, y, sigma) -> FitResult:
+    """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi), with
+    standard errors sigma; phi, y and sigma are 1-D arrays of one length.
 
     The period is fixed at pi. Needs at least 4 points spanning half a
     period and lying within _MAX_PERIODS periods of 0; every standard error
@@ -358,13 +365,11 @@ def fit_interference(points) -> FitResult:
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
-    pts = [(float(p), float(y), float(s)) for p, y, s in points]
-    phi, y, sigma = np.array(pts, dtype=float).reshape(len(pts), 3).T.copy()
-    return _fit(phi, y, sigma)
-
-
-def _fit(phi: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitResult:
-    """fit_interference on three float64 arrays of one length."""
+    phi, y, sigma = (np.asarray(a, dtype=float) for a in (phi, y, sigma))
+    if phi.ndim != 1 or y.shape != phi.shape or sigma.shape != phi.shape:
+        raise ValueError(
+            f"phi, y and sigma must be 1-D arrays of one length, got shapes {phi.shape}, {y.shape}, {sigma.shape}"
+        )
     if len(phi) < 4:
         raise ValueError(f"need at least 4 points, got {len(phi)}")
     _require_finite("phi", phi)
@@ -441,7 +446,7 @@ def witness_from_run(config: RunConfig) -> dict:
     for ch in ("ac", "aa"):
         est = estimates[ch]
         sig = _binomial_stderr(table[:, CHANNELS.index(ch)], n_total, factors[ch], shrunk=True)
-        fits[ch] = _fit(est.phi, est.value, sig)
+        fits[ch] = fit_interference(est.phi, est.value, sig)
 
     clamped = False
     minima = {}

@@ -75,6 +75,11 @@ class OutcomeClass(Enum):
     OTHER = "other"
 
 
+# the outcome channels in OutcomeClass order: the column order of every
+# probability row and count table
+CHANNELS = tuple(c.value for c in OutcomeClass)
+
+
 class FockState:
     """Sparse complex amplitude map over occupation vectors of the 8 modes.
 
@@ -363,8 +368,8 @@ class CoincidenceRecord:
     other: float
 
     def __post_init__(self):
-        vals = (self.cc, self.ca, self.ac, self.aa, self.other)
-        for name, v in zip(("cc", "ca", "ac", "aa", "other"), vals):
+        vals = tuple(self.as_dict().values())
+        for name, v in zip(CHANNELS, vals):
             _require_finite(name, v)
         if min(vals) < -1e-12:
             raise ValueError(f"negative probability in {vals}")
@@ -373,13 +378,7 @@ class CoincidenceRecord:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "cc": self.cc,
-            "ca": self.ca,
-            "ac": self.ac,
-            "aa": self.aa,
-            "other": self.other,
-        }
+        return {ch: getattr(self, ch) for ch in CHANNELS}
 
 
 def coincidence_probabilities(state: FockState) -> CoincidenceRecord:
@@ -387,16 +386,10 @@ def coincidence_probabilities(state: FockState) -> CoincidenceRecord:
     if not state.normalized:
         raise ValueError("coincidence probabilities need a normalized state")
     after = beam_splitter(beam_splitter(state, 1, 2), 3, 4)
-    totals = dict.fromkeys(OutcomeClass, 0.0)
+    totals = dict.fromkeys(CHANNELS, 0.0)
     for occ, amp in after.amplitudes.items():
-        totals[classify_outcome(occ)] += abs(amp) ** 2
-    return CoincidenceRecord(
-        totals[OutcomeClass.CC],
-        totals[OutcomeClass.CA],
-        totals[OutcomeClass.AC],
-        totals[OutcomeClass.AA],
-        totals[OutcomeClass.OTHER],
-    )
+        totals[classify_outcome(occ).value] += abs(amp) ** 2
+    return CoincidenceRecord(**totals)
 
 
 # -- closed form of the outcome curves -----------------------------------------
@@ -432,8 +425,8 @@ def outcome_curves(phi_grid) -> np.ndarray:
     return CURVE_OFFSETS + cos2[:, None] * CURVE_AMPLITUDES
 
 
-# keys of one coincidence_curves row
-_CURVE_FIELDS = ("phi", "p_cc", "p_ca", "p_ac", "p_aa")
+# keys of one coincidence_curves row; `other` has no curve
+_CURVE_FIELDS = ("phi",) + tuple(f"p_{ch}" for ch in CHANNELS if ch != "other")
 
 
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:

@@ -1,7 +1,7 @@
 """Two-copy collision measurement.
 
-Symmetric/antisymmetric projectors on two copies, the four collision
-probabilities, the purity identities they encode, and the entropic
+The four collision probabilities of the symmetric/antisymmetric projectors
+on two copies, the purity identities they encode, and the entropic
 entanglement witness. Subscript order is (A, B): p_ca means the symmetric
 (coalescence) outcome on the two A copies and the antisymmetric
 (anticoalescence) outcome on the two B copies.
@@ -16,63 +16,12 @@ import numpy as np
 
 from renyi2.qstate import DensityOperator, _require_all, _require_finite
 
-PROJECTOR_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 # slack for collision probabilities that land a hair outside [0, 1]
 PROB_EDGE_TOL = 1e-10
 # a margin above roundoff counts as a violation: pure product states sit exactly
 # on the separability bound, and their computed margin can come out at +1e-16
 MARGIN_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorPair:
-    """Projectors onto the symmetric/antisymmetric subspaces of dim x dim."""
-
-    dim: int
-    p_sym: np.ndarray
-    p_anti: np.ndarray
-
-    def __post_init__(self):
-        d2 = self.dim * self.dim
-        for name, p in (("p_sym", self.p_sym), ("p_anti", self.p_anti)):
-            if p.shape != (d2, d2):
-                raise ValueError(f"{name} has shape {p.shape}, expected ({d2}, {d2})")
-            defect = float(np.max(np.abs(p @ p - p)))
-            if defect > PROJECTOR_TOL:
-                raise ValueError(f"{name} not idempotent, defect {defect:.3e}")
-        if float(np.max(np.abs(self.p_sym @ self.p_anti))) > PROJECTOR_TOL:
-            raise ValueError("projectors are not orthogonal")
-        if float(np.max(np.abs(self.p_sym + self.p_anti - np.eye(d2)))) > PROJECTOR_TOL:
-            raise ValueError("projectors do not resolve the identity")
-        # the trace of a projector is its rank
-        d = self.dim
-        for name, p, want in (
-            ("p_sym", self.p_sym, d * (d + 1) // 2),
-            ("p_anti", self.p_anti, d * (d - 1) // 2),
-        ):
-            if abs(float(np.trace(p).real) - want) > 1e-9:
-                raise ValueError(f"{name} has rank {np.trace(p).real:.6f}, expected {want}")
-        for p in (self.p_sym, self.p_anti):
-            p.setflags(write=False)
-
-
-def _swap(dim: int) -> np.ndarray:
-    """SWAP on dim x dim: |i>|j> -> |j>|i>."""
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[i * dim + j, j * dim + i] = 1.0
-    return s
-
-
-def projectors(dim: int) -> ProjectorPair:
-    """P_S = (I + SWAP)/2 and P_A = (I - SWAP)/2 on a dim x dim double copy."""
-    if dim < 2:
-        raise ValueError(f"single-copy dimension must be at least 2, got {dim}")
-    s = _swap(dim)
-    eye = np.eye(dim * dim)
-    return ProjectorPair(dim, (eye + s) / 2.0, (eye - s) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +57,7 @@ def collision_probabilities(rho: DensityOperator) -> CollisionProbabilities:
     Expanding P_S,A = (I +- SWAP)/2 on each side leaves the swap traces
     A = tr rho_A^2, B = tr rho_B^2 and J = tr rho^2 (both sides swapped), so
     p_cc = (1+A+B+J)/4, p_ca = (1+A-B-J)/4, p_ac = (1-A+B-J)/4, p_aa = (1-A-B+J)/4.
-    The explicit trace over `projectors` is the definition the tests check against.
+    The explicit trace over the projectors is the definition the tests check against.
     """
     q = collision_quadruples(rho.matrix[None], rho.dim_a, rho.dim_b)
     return CollisionProbabilities(*q[0].tolist())

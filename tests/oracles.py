@@ -4,6 +4,7 @@ Each one builds the operators the physics is defined by and takes their
 traces, with none of the closed forms the package computes with.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -21,7 +22,61 @@ from renyi2.fock import (
     beam_splitter,
     classify_outcome,
 )
-from renyi2.two_copy import projectors
+
+
+# -- explicit two-copy projectors ----------------------------------------------
+
+PROJECTOR_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectorPair:
+    """Projectors onto the symmetric/antisymmetric subspaces of dim x dim."""
+
+    dim: int
+    p_sym: np.ndarray
+    p_anti: np.ndarray
+
+    def __post_init__(self):
+        d2 = self.dim * self.dim
+        for name, p in (("p_sym", self.p_sym), ("p_anti", self.p_anti)):
+            if p.shape != (d2, d2):
+                raise ValueError(f"{name} has shape {p.shape}, expected ({d2}, {d2})")
+            defect = float(np.max(np.abs(p @ p - p)))
+            if defect > PROJECTOR_TOL:
+                raise ValueError(f"{name} not idempotent, defect {defect:.3e}")
+        if float(np.max(np.abs(self.p_sym @ self.p_anti))) > PROJECTOR_TOL:
+            raise ValueError("projectors are not orthogonal")
+        if float(np.max(np.abs(self.p_sym + self.p_anti - np.eye(d2)))) > PROJECTOR_TOL:
+            raise ValueError("projectors do not resolve the identity")
+        # the trace of a projector is its rank
+        d = self.dim
+        for name, p, want in (
+            ("p_sym", self.p_sym, d * (d + 1) // 2),
+            ("p_anti", self.p_anti, d * (d - 1) // 2),
+        ):
+            if abs(float(np.trace(p).real) - want) > 1e-9:
+                raise ValueError(f"{name} has rank {np.trace(p).real:.6f}, expected {want}")
+        for p in (self.p_sym, self.p_anti):
+            p.setflags(write=False)
+
+
+def _swap(dim: int) -> np.ndarray:
+    """SWAP on dim x dim: |i>|j> -> |j>|i>."""
+    s = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            s[i * dim + j, j * dim + i] = 1.0
+    return s
+
+
+def projectors(dim: int) -> ProjectorPair:
+    """P_S = (I + SWAP)/2 and P_A = (I - SWAP)/2 on a dim x dim double copy."""
+    if dim < 2:
+        raise ValueError(f"single-copy dimension must be at least 2, got {dim}")
+    s = _swap(dim)
+    eye = np.eye(dim * dim)
+    return ProjectorPair(dim, (eye + s) / 2.0, (eye - s) / 2.0)
 
 
 def projector_collision_probabilities(rho) -> tuple[float, float, float, float]:

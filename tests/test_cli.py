@@ -709,13 +709,77 @@ def test_table_json_refuses_non_finite_cells(table, bad, data):
 # -- entry point -------------------------------------------------------------------
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
+def run_fresh(*argv) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter that imports this checkout's renyi2."""
     src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )
-    assert proc.stdout == "[]\n"
+
+
+LAYERS = ["renyi2.chsh", "renyi2.experiment", "renyi2.fock", "renyi2.qstate", "renyi2.two_copy"]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    out = run_fresh("-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))").stdout
+    assert out == "[]\n"
+
+
+def test_package_import_loads_neither_numpy_nor_a_layer():
+    out = run_fresh("-c", "import sys, renyi2; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'renyi2'))))").stdout
+    assert out == "['renyi2']\n"
+
+
+def test_cli_import_loads_every_layer():
+    # the benchmark's tracer reads each layer from sys.modules after `import renyi2.cli`
+    out = run_fresh("-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('renyi2.')))").stdout
+    assert out == f"{sorted(LAYERS + ['renyi2.cli'])}\n"
+
+
+def test_every_export_resolves_to_its_home_module_object():
+    code = f"""
+import importlib, json, sys
+import renyi2
+layers = [importlib.import_module(name) for name in {LAYERS!r}]
+wrong = []
+for name in renyi2.__all__:
+    namespace = {{}}
+    exec(f"from renyi2 import {{name}}", namespace)
+    obj = namespace[name]
+    if name == "__version__":
+        continue
+    home = getattr(obj, "__module__", None)
+    # a constant has no __module__: its home is the one layer that binds it
+    homes = [home] if home in sys.modules else [m.__name__ for m in layers if name in vars(m)]
+    if len(homes) != 1 or getattr(sys.modules[homes[0]], name) is not obj:
+        wrong.append(name)
+print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(renyi2.__all__)]))
+"""
+    wrong, undisclosed, n = json.loads(run_fresh("-c", code).stdout)
+    assert wrong == [] and undisclosed == [] and n == 47  # 46 names and __version__
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    import renyi2
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        renyi2.no_such_name
+    # the test oracles left the package surface
+    assert not hasattr(renyi2, "projectors") and not hasattr(renyi2, "ProjectorPair")
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "purity"])
+def test_deeply_nested_json_gives_one_error_line(tmp_path, subcommand):
+    # json.load raised RecursionError, which escaped main as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "simulate": ["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+        "purity": ["purity", "--state", f"file:{path}"],
+    }[subcommand]
+    proc = run_fresh("-m", "renyi2", *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed ") and proc.stderr.count("\n") == 1
 
 
 def test_module_entry_point_help():

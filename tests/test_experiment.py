@@ -190,6 +190,18 @@ def test_outcome_distribution_is_a_row_of_the_grid_form():
         assert np.array_equal(outcome_distributions([phi], 0.9, 0.05)[0], row)
 
 
+@pytest.mark.parametrize("name", ["visibility", "background_rate"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.1, 1.1])
+def test_noise_parameters_outside_the_unit_interval_are_refused(name, bad):
+    # outcome_distributions returned a NaN row at visibility NaN, and negative
+    # probabilities at visibility 2
+    noise = {"visibility": 0.9, "background_rate": 0.05, name: bad}
+    with pytest.raises(ValueError, match=name):
+        outcome_distributions([0.7], noise["visibility"], noise["background_rate"])
+    with pytest.raises(ValueError, match=name):
+        RunConfig(phi_grid=(0.0, 1.0), shots_per_phase=10, **noise)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     phi=st.floats(allow_nan=False, allow_infinity=False),
@@ -358,7 +370,7 @@ def test_bucket_and_number_resolving_estimates_cross_check():
 
 
 def test_fit_recovers_exact_aa_curve():
-    fit = fit_interference(zip(GRID25, aa_curve(GRID25), [0.01] * 25))
+    fit = fit_interference(GRID25, aa_curve(GRID25), np.full(25, 0.01))
     assert fit.offset == pytest.approx(0.25, abs=1e-10)
     assert fit.amplitude == pytest.approx(0.15, abs=1e-10)
     assert fit.residual_rms < 1e-9
@@ -367,7 +379,7 @@ def test_fit_recovers_exact_aa_curve():
 
 
 def test_fit_recovers_exact_ac_curve_minimum_at_zero():
-    fit = fit_interference(zip(GRID25, ac_curve(GRID25), [0.01] * 25))
+    fit = fit_interference(GRID25, ac_curve(GRID25), np.full(25, 0.01))
     assert fit.minima_values[0] == pytest.approx(0.0, abs=1e-10)
     locs = [loc % PI for loc in fit.minima_locations]
     assert any(min(l, PI - l) < 1e-8 for l in locs)
@@ -375,7 +387,7 @@ def test_fit_recovers_exact_ac_curve_minimum_at_zero():
 
 def test_fit_minima_repeat_each_period_inside_the_scan():
     grid = np.linspace(0.0, 2.0 * PI, 41)
-    fit = fit_interference(zip(grid, aa_curve(grid), [0.01] * 41))
+    fit = fit_interference(grid, aa_curve(grid), np.full(41, 0.01))
     assert len(fit.minima_locations) == 2
     assert fit.minima_locations[0] == pytest.approx(PI / 2, abs=1e-8)
     assert fit.minima_locations[1] == pytest.approx(3 * PI / 2, abs=1e-8)
@@ -383,17 +395,33 @@ def test_fit_minima_repeat_each_period_inside_the_scan():
 
 
 def test_fit_input_validation():
-    pts3 = [(0.0, 1.0, 0.1), (0.8, 1.0, 0.1), (1.6, 1.0, 0.1)]
     with pytest.raises(ValueError, match="at least 4"):
-        fit_interference(pts3)
+        fit_interference([0.0, 0.8, 1.6], [1.0] * 3, [0.1] * 3)
     with pytest.raises(ValueError, match="positive"):
-        fit_interference([(p, 1.0, 0.0) for p in GRID25[:5]])
+        fit_interference(GRID25[:5], [1.0] * 5, [0.0] * 5)
     with pytest.raises(ValueError, match="positive"):
-        fit_interference([(p, 1.0, np.nan) for p in GRID25[:5]])
+        fit_interference(GRID25[:5], [1.0] * 5, [np.nan] * 5)
     with pytest.raises(ValueError, match="condition"):
-        fit_interference([(0.3, 1.0, 0.1)] * 5)
+        fit_interference([0.3] * 5, [1.0] * 5, [0.1] * 5)
     with pytest.raises(ValueError, match="half a period"):
-        fit_interference([(x, 1.0, 0.1) for x in (0.0, 0.3, 0.6, 1.0)])
+        fit_interference([0.0, 0.3, 0.6, 1.0], [1.0] * 4, [0.1] * 4)
+
+
+@pytest.mark.parametrize(
+    "phi, y, sigma",
+    [
+        (GRID25, aa_curve(GRID25)[:24], np.full(25, 0.01)),
+        (GRID25, aa_curve(GRID25), np.full(24, 0.01)),
+        (GRID25[:24], aa_curve(GRID25), np.full(25, 0.01)),
+        (np.array([GRID25] * 2), np.array([aa_curve(GRID25)] * 2), np.full((2, 25), 0.01)),
+        (np.array(GRID25)[:, None], aa_curve(GRID25)[:, None], np.full((25, 1), 0.01)),
+        (1.0, 1.0, 0.1),
+    ],
+    ids=["short-y", "short-sigma", "short-phi", "2-D", "column", "scalars"],
+)
+def test_fit_refuses_arrays_that_are_not_1d_of_one_length(phi, y, sigma):
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        fit_interference(phi, y, sigma)
 
 
 def test_fit_rejects_phases_beyond_1000_periods():
@@ -406,31 +434,31 @@ def test_fit_rejects_phases_beyond_1000_periods():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="within 1000 periods"):
-                fit_interference([(x, 1.0, 0.1) for x in grid])
-    fit = fit_interference(zip(np.linspace(-1000 * PI, 1000 * PI, 6001), [1.0] * 6001, [0.1] * 6001))
+                fit_interference(grid, [1.0] * 5, [0.1] * 5)
+    fit = fit_interference(np.linspace(-1000 * PI, 1000 * PI, 6001), np.ones(6001), np.full(6001, 0.1))
     assert len(fit.minima_locations) == 2000
 
 
-def _six_points(bad_field: str, bad_value: float) -> list[tuple[float, float, float]]:
+def _six_points(bad_field: str, bad_value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi = np.linspace(0.0, PI, 6)
     y = aa_curve(phi)
     (phi if bad_field == "phi" else y)[2] = bad_value
-    return list(zip(phi, y, [0.01] * 6))
+    return phi, y, np.full(6, 0.01)
 
 
 def test_fit_rejects_nan_y():
     with pytest.raises(ValueError, match="y must be finite"):
-        fit_interference(_six_points("y", np.nan))
+        fit_interference(*_six_points("y", np.nan))
 
 
 def test_fit_rejects_infinite_y():
     with pytest.raises(ValueError, match="y must be finite"):
-        fit_interference(_six_points("y", np.inf))
+        fit_interference(*_six_points("y", np.inf))
 
 
 def test_fit_rejects_nan_phi():
     with pytest.raises(ValueError, match="phi must be finite"):
-        fit_interference(_six_points("phi", np.nan))
+        fit_interference(*_six_points("phi", np.nan))
 
 
 def test_fit_coverage_on_noisy_samples():
@@ -439,7 +467,7 @@ def test_fit_coverage_on_noisy_samples():
     for s in range(100):
         rng = np.random.default_rng([424242, s])
         y = truth + rng.normal(0.0, 0.01, size=25)
-        fit = fit_interference(zip(GRID25, y, [0.01] * 25))
+        fit = fit_interference(GRID25, y, np.full(25, 0.01))
         s_off = np.sqrt(fit.covariance[0, 0])
         al = fit.amplitude * np.cos(fit.phase_origin)
         be = -fit.amplitude * np.sin(fit.phase_origin)
@@ -456,7 +484,7 @@ def test_fit_is_unbiased_over_many_seeds():
     for s in range(200):
         rng = np.random.default_rng([777, s])
         y = truth + rng.normal(0.0, 0.01, size=25)
-        fit = fit_interference(zip(GRID25, y, [0.01] * 25))
+        fit = fit_interference(GRID25, y, np.full(25, 0.01))
         offs.append(fit.offset)
         amps.append(fit.amplitude)
         s_offs.append(np.sqrt(fit.covariance[0, 0]))

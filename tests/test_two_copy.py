@@ -16,11 +16,10 @@ from renyi2.two_copy import (
     CollisionProbabilities,
     collision_probabilities,
     entropic_witness,
-    projectors,
     purities_from_probabilities,
 )
 
-from oracles import projector_collision_probabilities
+from oracles import projector_collision_probabilities, projectors
 
 SQRT3 = np.sqrt(3.0)
 
