@@ -141,6 +141,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
+    # np.linspace warns twice and fills the grid with inf when stop - start overflows
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid span stop - start overflows a float, got {spec!r}")
     if n < 1:
         raise ValueError("phase grid is empty")
     if n > MAX_GRID_POINTS:

@@ -259,6 +259,19 @@ def test_negative_grid_start_needs_the_equals_form():
     assert_contract(code, err, "space form")
 
 
+@pytest.mark.parametrize("spec", ["-1e308:1e308:3", "-9e307:9e307:3", "-1e308:1e308:1", "1e308:-1e308:2"])
+def test_phase_scan_refuses_a_grid_span_that_overflows(spec):
+    # np.linspace printed two RuntimeWarnings, then the error blamed a non-finite phase
+    argv = ["phase-scan", f"--grid={spec}"]
+    code, err = run_in_process(argv)
+    assert code == 2 and "span" in err
+    assert_contract(code, err, argv)
+
+
+def test_phase_scan_admits_the_widest_finite_span():
+    assert run_in_process(["phase-scan", "--grid=-8.9e307:8.9e307:3"]) == (0, "")
+
+
 # -- simulate ---------------------------------------------------------------------
 
 
@@ -709,11 +722,16 @@ def test_table_json_refuses_non_finite_cells(table, bad, data):
 # -- entry point -------------------------------------------------------------------
 
 
-def run_fresh(*argv) -> subprocess.CompletedProcess:
-    """`python *argv` in a fresh interpreter that imports this checkout's renyi2."""
+def run_fresh(*argv, env=None) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter that imports this checkout's renyi2.
+
+    env updates the inherited environment; a None value removes that variable.
+    """
     src = str(Path(cli.__file__).parents[1])
+    environ = {**os.environ, "PYTHONPATH": src, **(env or {})}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        [sys.executable, *argv], capture_output=True, text=True,
+        env={k: v for k, v in environ.items() if v is not None},
     )
 
 
@@ -757,6 +775,65 @@ print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(ren
 """
     wrong, undisclosed, n = json.loads(run_fresh("-c", code).stdout)
     assert wrong == [] and undisclosed == [] and n == 47  # 46 names and __version__
+
+
+# runs the CLI through the console-script entry, then reports the BLAS thread
+# setting and, where /proc lists them, this process's threads
+ENTRY_PROBE = """
+import json, os, sys
+import renyi2.__main__ as entry
+assert "numpy" not in sys.modules
+code = entry.main(["purity", "--state", "singlet", "--format", "json"])
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def test_entry_starts_one_blas_thread_by_default():
+    proc = run_fresh("-c", ENTRY_PROBE, env={"OPENBLAS_NUM_THREADS": None})
+    code, setting, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and setting == "1" and proc.stderr == ""
+    if threads is None:
+        pytest.skip("/proc/self/task is absent, so the thread count is not checked")
+    assert threads == 1
+
+
+def test_entry_keeps_the_users_blas_setting():
+    proc = run_fresh("-c", ENTRY_PROBE, env={"OPENBLAS_NUM_THREADS": "2"})
+    code, setting, _ = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and setting == "2"
+
+
+def test_cli_import_leaves_the_environment_and_the_fock_network_alone():
+    code = (
+        "import json, os, sys; before = dict(os.environ); import renyi2.cli; "
+        "print(json.dumps([dict(os.environ) == before, 'renyi2._fock_network' in sys.modules]))"
+    )
+    proc = run_fresh("-c", code, env={"OPENBLAS_NUM_THREADS": None})
+    assert json.loads(proc.stdout) == [True, False]
+
+
+def test_fock_attribute_probe_leaves_the_network_unloaded():
+    # the benchmark calls hasattr(obj, "cache_clear") on every attribute of every renyi2 module
+    code = (
+        "import json, sys, renyi2.fock as fock; "
+        "print(json.dumps([hasattr(fock, 'cache_clear'), 'renyi2._fock_network' in sys.modules]))"
+    )
+    assert json.loads(run_fresh("-c", code).stdout) == [False, False]
+
+
+def test_phase_scan_and_simulate_never_import_the_fock_network(tmp_path):
+    config = write_config(tmp_path / "run.json", shots_per_phase=1000)
+    code = f"""
+import contextlib, io, json, sys
+import renyi2.__main__ as entry
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [entry.main(["phase-scan", "--format", "json"]),
+             entry.main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
+print(json.dumps([codes, "renyi2._fock_network" in sys.modules]))
+"""
+    assert json.loads(run_fresh("-c", code).stdout) == [[0, 0], False]
 
 
 def test_unknown_package_attribute_raises_attribute_error():

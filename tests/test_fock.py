@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import renyi2._fock_network as _fock_network
 import renyi2.fock as fock
 from renyi2.fock import (
+    CHANNELS,
     CURVE_AMPLITUDES,
     CURVE_OFFSETS,
     DEFAULT_CAP,
@@ -409,10 +414,49 @@ def test_outcome_curves_build_no_fock_state(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Fock network ran")
 
-    for name in ("FockState", "beam_splitter", "_bs_pair", "_create"):
-        monkeypatch.setattr(fock, name, refuse)
+    # renyi2.fock serves these names from the network module, so patch them there
+    for name in ("FockState", "spdc_four_photon_state", "beam_splitter", "_bs_pair", "_create",
+                 "coincidence_probabilities"):
+        monkeypatch.setattr(_fock_network, name, refuse)
     rows = outcome_curves(np.linspace(0.0, PI, 5))
     assert rows.shape == (5, 5)
+    assert len(coincidence_curves([0.0, 1.0])) == 2
+
+
+def _defined_names(module):
+    """Names bound at the top level of a module's source by def, class or assignment."""
+    names = []
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_network_table_lists_exactly_the_names_the_network_defines():
+    defined = _defined_names(_fock_network)
+    assert sorted(fock._NETWORK) == sorted(defined) and len(set(defined)) == len(defined)
+    # fock binds none of them itself, so every lookup goes to the network
+    assert not set(fock._NETWORK) & set(vars(fock))
+
+
+@pytest.mark.parametrize("name", fock._NETWORK)
+def test_network_names_resolve_to_the_network_objects(name):
+    namespace = {}
+    exec(f"from renyi2.fock import {name}", namespace)
+    assert namespace[name] is getattr(_fock_network, name)
+    assert name in dir(fock)
+
+
+def test_unknown_fock_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fock.no_such_name
+
+
+def test_outcome_classes_follow_the_channels():
+    assert tuple(c.value for c in OutcomeClass) == CHANNELS
+    assert [c.name for c in OutcomeClass] == ["CC", "CA", "AC", "AA", "OTHER"]
 
 
 def test_phase_gram_check_rejects_a_non_hermitian_matrix():
