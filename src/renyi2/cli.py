@@ -112,15 +112,20 @@ def _load_json(path: str, what: str):
 
 def _load_matrix_file(path: str) -> DensityOperator:
     data = _load_json(path, "matrix")
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed matrix file {path}: it must hold a JSON object")
     try:
         dim_a, dim_b = (
             _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
             for name in ("dim_a", "dim_b")
         )
-        mat = np.array([[_matrix_entry(e) for e in row] for row in data["matrix"]])
+        rows = [[_matrix_entry(e) for e in row] for row in data["matrix"]]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
-    return make_density(mat, dim_a, dim_b)
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"malformed matrix file {path}: rows differ in length {lengths}")
+    return make_density(np.array(rows), dim_a, dim_b)
 
 
 def _matrix_entry(e) -> complex:

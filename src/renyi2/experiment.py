@@ -178,7 +178,8 @@ def simulate_counts(config: RunConfig) -> np.ndarray:
 def _phase_generators(seed: int, n: int):
     """The n Generators default_rng([seed, k]), k = 0 .. n-1, seeded from one
     vectorized SeedSequence pass instead of one SeedSequence per phase."""
-    # numpy.random costs ~14 ms to import, so only a simulation pays it
+    # numpy.random costs ~14 ms to import and, outside the CLI entry (which blocks
+    # _hashlib), ~3.4 MB of OpenSSL's libcrypto through secrets: only a simulation pays it
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 

@@ -108,14 +108,24 @@ def test_purity_rejects_unknown_family(capsys):
     assert out == ""
 
 
-def test_purity_rejects_malformed_matrix_file(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"dim_a": 2, "matrix": [[1]]}),
+        # numpy's "inhomogeneous shape" ValueError used to escape, without the path
+        json.dumps({"dim_a": 2, "dim_b": 2, "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0]]}),
+        # a TypeError about list indices used to escape
+        "[1, 2]",
+    ],
+    ids=["not-json", "no-dim-b", "ragged-rows", "top-level-list"],
+)
+def test_purity_rejects_malformed_matrix_file(capsys, tmp_path, text):
     f = tmp_path / "bad.json"
-    f.write_text("{not json")
-    code, _, err = run_cli(capsys, "purity", "--state", f"file:{f}")
-    assert code != 0 and "malformed" in err
-    f.write_text(json.dumps({"dim_a": 2, "matrix": [[1]]}))
-    code, _, err = run_cli(capsys, "purity", "--state", f"file:{f}")
-    assert code != 0 and "malformed" in err
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed matrix file {f}: ") and err.count("\n") == 1
 
 
 def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
@@ -777,41 +787,74 @@ print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(ren
     assert wrong == [] and undisclosed == [] and n == 47  # 46 names and __version__
 
 
-# runs the CLI through the console-script entry, then reports the BLAS thread
-# setting and, where /proc lists them, this process's threads
+# runs purity and simulate (which loads numpy.random) through the console-script
+# entry, then reports the BLAS thread setting, where /proc lists them this
+# process's threads, the collector's state and whether OpenSSL's _hashlib is blocked
 ENTRY_PROBE = """
-import json, os, sys
+import gc, json, os, sys, tempfile
 import renyi2.__main__ as entry
 assert "numpy" not in sys.modules
-code = entry.main(["purity", "--state", "singlet", "--format", "json"])
+with tempfile.TemporaryDirectory() as tmp:
+    config = os.path.join(tmp, "run.json")
+    with open(config, "w") as fh:
+        json.dump({"phi_grid": [0, 0.8, 1.6, 2.4], "shots_per_phase": 1000}, fh)
+    codes = [entry.main(["purity", "--state", "singlet", "--format", "json"]),
+             entry.main(["simulate", "--config", config, "--out", os.path.join(tmp, "out")])]
 tasks = "/proc/self/task"
 threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
-print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+import hashlib
+print(json.dumps({
+    "codes": codes, "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads,
+    "numpy_random": "numpy.random" in sys.modules, "gc_enabled": gc.isenabled(),
+    "frozen": gc.get_freeze_count() > 0, "hashlib_blocked": sys.modules.get("_hashlib", 0) is None,
+    "sha256": hashlib.sha256(b"renyi2").hexdigest(),
+}))
 """
+RENYI2_SHA256 = "c8ea6cc8d3d1503d12241be46537b7a5a0d5339e198f4024eff290ca7e8ebec7"
+
+
+def entry_probe(**env) -> dict:
+    proc = run_fresh("-c", ENTRY_PROBE, env=env)
+    assert proc.stderr == ""
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_entry_starts_one_blas_thread_by_default():
-    proc = run_fresh("-c", ENTRY_PROBE, env={"OPENBLAS_NUM_THREADS": None})
-    code, setting, threads = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0 and setting == "1" and proc.stderr == ""
-    if threads is None:
+    probe = entry_probe(OPENBLAS_NUM_THREADS=None)
+    assert probe["codes"] == [0, 0] and probe["blas"] == "1"
+    if probe["threads"] is None:
         pytest.skip("/proc/self/task is absent, so the thread count is not checked")
-    assert threads == 1
+    assert probe["threads"] == 1
 
 
 def test_entry_keeps_the_users_blas_setting():
-    proc = run_fresh("-c", ENTRY_PROBE, env={"OPENBLAS_NUM_THREADS": "2"})
-    code, setting, _ = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0 and setting == "2"
+    probe = entry_probe(OPENBLAS_NUM_THREADS="2")
+    assert probe["codes"] == [0, 0] and probe["blas"] == "2"
 
 
-def test_cli_import_leaves_the_environment_and_the_fock_network_alone():
-    code = (
-        "import json, os, sys; before = dict(os.environ); import renyi2.cli; "
-        "print(json.dumps([dict(os.environ) == before, 'renyi2._fock_network' in sys.modules]))"
-    )
+def test_entry_freezes_the_collector_and_runs_numpy_random_without_openssl():
+    probe = entry_probe()
+    assert probe["codes"] == [0, 0] and probe["numpy_random"]
+    # the collector runs again after the import, and the shutdown passes find everything frozen
+    assert probe["gc_enabled"] and probe["frozen"]
+    # hashlib still hashes, through CPython's built-in sha256
+    assert probe["hashlib_blocked"] and probe["sha256"] == RENYI2_SHA256
+
+
+def test_cli_import_leaves_the_environment_and_the_fock_network_alone(tmp_path):
+    config = write_config(tmp_path / "run.json", shots_per_phase=1000)
+    code = f"""
+import contextlib, gc, io, json, os, sys
+before = dict(os.environ)
+import renyi2.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = renyi2.cli.main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([status, dict(os.environ) == before, "renyi2._fock_network" in sys.modules,
+                  "numpy.random" in sys.modules, gc.isenabled(), gc.get_freeze_count(),
+                  sys.modules.get("_hashlib", 0) is None]))
+"""
     proc = run_fresh("-c", code, env={"OPENBLAS_NUM_THREADS": None})
-    assert json.loads(proc.stdout) == [True, False]
+    assert json.loads(proc.stdout) == [0, True, False, True, True, 0, False]
 
 
 def test_fock_attribute_probe_leaves_the_network_unloaded():
