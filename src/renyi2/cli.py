@@ -18,7 +18,7 @@ import numpy as np
 
 from .chsh import max_chsh_values
 from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, _integer, witness_from_run
-from .fock import _CURVE_FIELDS, coincidence_curves
+from .fock import _CURVE_FIELDS, outcome_curves
 from .qstate import (
     DensityOperator,
     make_density,
@@ -156,57 +156,50 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, n)
 
 
+# each purity of the report by its matrix, which names its CSV columns and text
+# line: its JSON key, and the side partial_trace keeps (None for the joint state)
+_PURITIES = {"rho": ("joint", None), "rhoA": ("side_a", "A"), "rhoB": ("side_b", "B")}
+
+
 def cmd_purity(args) -> int:
     rho = _load_state(args.state)
     p = collision_probabilities(rho)
-    rec = purities_from_probabilities(p)
-    direct = (
-        purity(rho),
-        purity(partial_trace(rho, "A")),
-        purity(partial_trace(rho, "B")),
-    )
     verdict = entropic_witness(p)
+    collisions = dataclasses.asdict(p)
+    # (reconstructed, direct) of each matrix
+    purities = {
+        m: (rec, purity(rho if side is None else partial_trace(rho, side)))
+        for (m, (_, side)), rec in zip(_PURITIES.items(), purities_from_probabilities(p))
+    }
+    margins = {"margin_a": verdict.margin_a, "margin_b": verdict.margin_b}
 
     if args.format == "json":
         payload = {
             "state": args.state,
-            "collisions": {"p_cc": p.p_cc, "p_ca": p.p_ca, "p_ac": p.p_ac, "p_aa": p.p_aa},
+            "collisions": collisions,
             "purities": {
-                "joint": {"reconstructed": rec[0], "direct": direct[0]},
-                "side_a": {"reconstructed": rec[1], "direct": direct[1]},
-                "side_b": {"reconstructed": rec[2], "direct": direct[2]},
+                _PURITIES[m][0]: {"reconstructed": rec, "direct": direct} for m, (rec, direct) in purities.items()
             },
-            "witness": {
-                "margin_a": verdict.margin_a,
-                "margin_b": verdict.margin_b,
-                "violated": verdict.entangled,
-            },
+            "witness": {**margins, "violated": verdict.entangled},
         }
-        _emit(_canonical_json(payload), args.out)
+        text = _canonical_json(payload)
     elif args.format == "csv":
-        keys = (
-            "p_cc", "p_ca", "p_ac", "p_aa",
-            "tr_rho2_rec", "tr_rho2", "tr_rhoA2_rec", "tr_rhoA2", "tr_rhoB2_rec", "tr_rhoB2",
-            "margin_a", "margin_b",
-        )
-        row = (
-            p.p_cc, p.p_ca, p.p_ac, p.p_aa,
-            rec[0], direct[0], rec[1], direct[1], rec[2], direct[2],
-            verdict.margin_a, verdict.margin_b,
-        )
-        _emit(_table(keys, [row], "csv"), args.out)
+        names = chain.from_iterable((f"tr_{m}2_rec", f"tr_{m}2") for m in purities)
+        row = (*collisions.values(), *chain.from_iterable(purities.values()), *margins.values())
+        text = _table((*collisions, *names, *margins), [row], "csv")
     else:
         lines = [
             f"state: {args.state}",
-            f"collision probabilities: p_cc={p.p_cc:.6f} p_ca={p.p_ca:.6f} "
-            f"p_ac={p.p_ac:.6f} p_aa={p.p_aa:.6f}",
-            f"tr rho^2  : reconstructed {rec[0]:.6f}  direct {direct[0]:.6f}",
-            f"tr rhoA^2 : reconstructed {rec[1]:.6f}  direct {direct[1]:.6f}",
-            f"tr rhoB^2 : reconstructed {rec[2]:.6f}  direct {direct[2]:.6f}",
+            "collision probabilities: " + " ".join(f"{k}={v:.6f}" for k, v in collisions.items()),
+            *(
+                f"{f'tr {m}^2':<10}: reconstructed {rec:.6f}  direct {direct:.6f}"
+                for m, (rec, direct) in purities.items()
+            ),
             f"witness margins: a={verdict.margin_a:+.6f} b={verdict.margin_b:+.6f} "
             f"({'violated' if verdict.entangled else 'not violated'})",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return 0
 
 
@@ -230,7 +223,9 @@ def cmd_werner_scan(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi, 25)
-    _emit(_table(_CURVE_FIELDS, coincidence_curves(grid), args.format), args.out)
+    # `other` has no curve
+    curves = outcome_curves(grid)[:, :-1]
+    _emit(_table(_CURVE_FIELDS, zip(grid.tolist(), *curves.T.tolist()), args.format), args.out)
     return 0
 
 

@@ -35,10 +35,13 @@ MIN_SIGNIFICANCE = 3.0
 # detectors behind a polarizing splitter: a two-photon port registers as two
 # detectors only when the photons split H/V, probability 1/2 per side
 _BUCKET_KEEP = (0.25, 0.5, 0.5)  # cc, ca, ac
+# the factors that undo each detector model's losses, one per channel in CHANNELS order
 _CORRECTION_FACTORS = {
-    "number_resolving": dict.fromkeys(CHANNELS, 1.0),
-    "bucket_with_pbs": {**dict.fromkeys(CHANNELS, 1.0), **{ch: 1.0 / k for ch, k in zip(CHANNELS, _BUCKET_KEEP)}},
+    "number_resolving": np.ones(len(CHANNELS)),
+    "bucket_with_pbs": 1.0 / np.array([*_BUCKET_KEEP, 1.0, 1.0]),
 }
+for _factors in _CORRECTION_FACTORS.values():
+    _factors.flags.writeable = False
 
 # numpy's multinomial takes the shot count as a C long
 MAX_SHOTS = 2**63 - 1
@@ -56,7 +59,7 @@ _SS_POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
 
 
-def _correction_factors(detector_model: str) -> dict[str, float]:
+def _correction_factors(detector_model: str) -> np.ndarray:
     """Per-channel factors that undo the detector model's coalescence losses."""
     try:
         return _CORRECTION_FACTORS[detector_model]
@@ -256,21 +259,18 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     Under bucket_with_pbs the observed cc/ca/ac counts are scaled back up by
     the detection factor (4, 2, 2) before normalization; the estimate of
     `other` then includes the lost coalescence events and is reported as-is.
+    Every channel is estimated in one pass over the table; each estimate
+    holds its channel's columns.
     """
     factors = _correction_factors(detector_model)
     phi, table, n_total = _validated_counts(phi_grid, counts)
-    estimates = {}
-    for ch, n in zip(CHANNELS, table.T):
-        columns = (
-            phi,
-            factors[ch] * (n / n_total),
-            _binomial_stderr(n, n_total, factors[ch]),
-            (n == 0) | (n == n_total),
-        )
-        for column in columns:
-            column.flags.writeable = False
-        estimates[ch] = ChannelEstimate(*columns)
-    return estimates
+    n_total = n_total[:, None]
+    value = factors * (table / n_total)
+    sigma = _binomial_stderr(table, n_total, factors)
+    degenerate = (table == 0) | (table == n_total)
+    for column in (phi, value, sigma, degenerate):
+        column.flags.writeable = False
+    return {ch: ChannelEstimate(phi, value[:, c], sigma[:, c], degenerate[:, c]) for c, ch in enumerate(CHANNELS)}
 
 
 def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,8 +314,10 @@ def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndar
     return phi, table, n_total
 
 
-def _binomial_stderr(n: np.ndarray, n_total: np.ndarray, factor: float, shrunk: bool = False) -> np.ndarray:
-    """factor * sqrt(q (1 - q) / N) at the proportion q = n/N.
+def _binomial_stderr(n: np.ndarray, n_total: np.ndarray, factor, shrunk: bool = False) -> np.ndarray:
+    """factor * sqrt(q (1 - q) / N) at the proportion q = n/N, elementwise
+    over arrays that broadcast (a count table, its (phases, 1) row totals and
+    one factor per channel).
 
     shrunk=True takes q = (n + 1/2)/(N + 1) instead, which keeps exact-zero
     channels from acquiring infinite weight in a fit; reported estimates stay
@@ -339,15 +341,9 @@ class FitResult:
     covariance: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "amplitude": self.amplitude,
-            "phase_origin": self.phase_origin,
-            "residual_rms": self.residual_rms,
-            "minima_locations": list(self.minima_locations),
-            "minima_values": list(self.minima_values),
-            "minima_stderr": list(self.minima_stderr),
-        }
+        """Every field but the covariance, tuples as lists."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "covariance")
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in items}
 
 
 _MAX_CONDITION = 1e12
@@ -362,7 +358,7 @@ def fit_interference(phi, y, sigma) -> FitResult:
 
     The period is fixed at pi. Needs at least 4 points spanning half a
     period and lying within _MAX_PERIODS periods of 0; every standard error
-    must be positive (they set the weights).
+    must be positive and finite (they set the weights).
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
@@ -377,6 +373,7 @@ def fit_interference(phi, y, sigma) -> FitResult:
     _require_finite("y", y)
     if not np.all(sigma > 0.0):  # refuses NaN too
         raise ValueError("standard errors must be positive")
+    _require_finite("sigma", sigma)
     if np.abs(phi).max() > _MAX_PERIODS * np.pi:
         raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
 
@@ -441,25 +438,15 @@ def witness_from_run(config: RunConfig) -> dict:
     table = simulate_counts(config)
     estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
     factors = _correction_factors(config.detector_model)
-    n_total = table.sum(axis=1)
-
-    fits = {}
-    for ch in ("ac", "aa"):
-        est = estimates[ch]
-        sig = _binomial_stderr(table[:, CHANNELS.index(ch)], n_total, factors[ch], shrunk=True)
-        fits[ch] = fit_interference(est.phi, est.value, sig)
-
-    clamped = False
-    minima = {}
-    for ch in ("ac", "aa"):
-        value = fits[ch].minima_values[0]
-        if not 0.0 <= value <= 1.0:
-            clamped = True
-            value = min(max(value, 0.0), 1.0)
-        minima[ch] = (value, fits[ch].minima_stderr[0])
-
-    p_ac, s_ac = minima["ac"]
-    p_aa, s_aa = minima["aa"]
+    sigma = _binomial_stderr(table, table.sum(axis=1)[:, None], factors, shrunk=True)
+    fits = {
+        ch: fit_interference(estimates[ch].phi, estimates[ch].value, sigma[:, CHANNELS.index(ch)])
+        for ch in ("ac", "aa")
+    }
+    # each fitted minimum as (value clamped into [0, 1], stderr)
+    clamped = any(not 0.0 <= fit.minima_values[0] <= 1.0 for fit in fits.values())
+    minima = {ch: (min(max(fit.minima_values[0], 0.0), 1.0), fit.minima_stderr[0]) for ch, fit in fits.items()}
+    (p_ac, s_ac), (p_aa, s_aa) = minima.values()
     # reconstruct the symmetric quadruple: p_ca tracks p_ac by the symmetry of
     # the curves and p_cc absorbs the remainder
     p_cc = 1.0 - p_aa - 2.0 * p_ac
@@ -489,6 +476,6 @@ def witness_from_run(config: RunConfig) -> dict:
     return {
         "config": config.as_dict(),
         "counts": list(zip(config.phi_grid, *table.T.tolist())),
-        "fits": {"p_ac": fits["ac"].as_dict(), "p_aa": fits["aa"].as_dict()},
+        "fits": {f"p_{ch}": fit.as_dict() for ch, fit in fits.items()},
         "witness": witness,
     }

@@ -56,8 +56,7 @@ _CURVE_FIELDS = ("phi",) + tuple(f"p_{ch}" for ch in CHANNELS if ch != "other")
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:
     """Rows (phi, p_cc, p_ca, p_ac, p_aa) of the source state's outcome curves."""
     phi = np.array([float(p) for p in phi_grid])
-    curves = outcome_curves(phi)
-    return [(p, cc, ca, ac, aa) for p, (cc, ca, ac, aa, _) in zip(phi.tolist(), curves.tolist())]
+    return list(zip(phi.tolist(), *outcome_curves(phi)[:, :-1].T.tolist()))
 
 
 # every name renyi2._fock_network defines; static, so that looking up any

@@ -162,15 +162,14 @@ def entropic_witness(
     sigma, when given, holds standard errors in the same order as the
     probabilities (cc, ca, ac, aa).
     """
+    margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
+    sig_a = sig_b = None
     if sigma is not None:
         s_cc, s_ca, s_ac, s_aa = (float(s) for s in sigma)
         _require_finite("sigma", (s_cc, s_ca, s_ac, s_aa))
         for s in (s_cc, s_ca, s_ac, s_aa):
             if s < 0.0:
                 raise ValueError(f"standard errors must be non-negative, got {s}")
-    margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
-    sig_a = sig_b = None
-    if sigma is not None:
         sig_a = _margin_significance(margin_a, s_aa, s_ca)
         sig_b = _margin_significance(margin_b, s_aa, s_ac)
     violated_a = margin_a > MARGIN_TOL

@@ -11,7 +11,7 @@ from math import sqrt
 import numpy as np
 
 from renyi2.chsh import PAULI, correlation_matrix
-from renyi2.experiment import outcome_distributions
+from renyi2.experiment import CHANNELS, outcome_distributions
 from renyi2.fock import (
     DEFAULT_CAP,
     FockState,
@@ -247,3 +247,20 @@ def loop_simulate_counts(config) -> np.ndarray:
             counts[:3] = kept
         table[k] = counts
     return table
+
+
+# -- one channel at a time -------------------------------------------------------
+
+
+def loop_estimates(counts, detector_model: str) -> dict[str, tuple]:
+    """(value, sigma, degenerate) of each channel, column by column, with the
+    bucket factors (4, 2, 2, 1, 1) written out: the proportion q = n/N times
+    the factor, and the factor times sqrt(q (1 - q) / N)."""
+    table = np.asarray(counts, dtype=np.int64)
+    n_total = table.sum(axis=1)
+    factors = (4.0, 2.0, 2.0, 1.0, 1.0) if detector_model == "bucket_with_pbs" else (1.0,) * 5
+    estimates = {}
+    for ch, n, factor in zip(CHANNELS, table.T, factors):
+        q = n / n_total
+        estimates[ch] = (factor * q, factor * np.sqrt(q * (1.0 - q) / n_total), (n == 0) | (n == n_total))
+    return estimates

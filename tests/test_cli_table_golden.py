@@ -1,14 +1,18 @@
-"""Byte guard for the table outputs of `renyi2 phase-scan`, `werner-scan` and
-`purity --format csv`.
+"""Byte guard for the outputs of `renyi2 phase-scan`, `werner-scan` and
+`purity` (text, CSV and JSON).
 
 `golden/cli_tables.json` maps each command line in TABLES to the SHA-256 of
 the bytes it writes with `--out`. The digests were captured before the CLI
 moved to one table writer, so any later change to a header, a key order, a
 number's spelling or a line ending shows here. (`test_werner_scan_golden.py`
-compares the scan values to 1e-12; this file pins the bytes.) The digests
-were taken with numpy 2.4.6 and its bundled OpenBLAS: the `werner-scan`
-values come from batched eigvalsh and SVD calls, so another LAPACK build may
-move a last digit and fail here while the 1e-12 guard passes.
+compares the scan values to 1e-12; this file pins the bytes.) The purity
+text and JSON digests were captured before `purity` derived its three formats
+from one set of values. The purity report echoes its `--state` argument, so
+the matrix file `golden/complex_state.json`, whose entries include complex
+`[re, im]` pairs, is named relative to this directory, and every command runs
+from here. The digests were taken with numpy 2.4.6 and its bundled OpenBLAS:
+the `werner-scan` values come from batched eigvalsh and SVD calls, so another
+LAPACK build may move a last digit and fail here while the 1e-12 guard passes.
 
 Regenerate it only when the outputs are meant to change, from the
 repository root:
@@ -25,7 +29,8 @@ import pytest
 
 from renyi2.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli_tables.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden", "cli_tables.json")
 TABLES = {
     "phase-scan-default-csv": ["phase-scan", "--format", "csv"],
     "phase-scan-default-json": ["phase-scan", "--format", "json"],
@@ -34,12 +39,24 @@ TABLES = {
     "werner-scan-1001-json": ["werner-scan", "--steps", "1001", "--format", "json"],
     "werner-scan-7-csv": ["werner-scan", "--steps", "7", "--format", "csv"],
     "purity-werner-csv": ["purity", "--state", "werner:0.7", "--format", "csv"],
+    "purity-werner-text": ["purity", "--state", "werner:0.7", "--format", "text"],
+    "purity-werner-json": ["purity", "--state", "werner:0.7", "--format", "json"],
+    "purity-werner-0.3-text": ["purity", "--state", "werner:0.3", "--format", "text"],
+    "purity-werner-0.3-json": ["purity", "--state", "werner:0.3", "--format", "json"],
+    "purity-singlet-text": ["purity", "--state", "singlet", "--format", "text"],
+    "purity-singlet-json": ["purity", "--state", "singlet", "--format", "json"],
+    "purity-complex-file-json": ["purity", "--state", "file:golden/complex_state.json", "--format", "json"],
 }
 
 
 def digest(name: str, workdir: str) -> str:
-    path = os.path.join(workdir, name)
-    assert main([*TABLES[name], "--out", path]) == 0
+    path = os.path.join(os.path.abspath(workdir), name)
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        assert main([*TABLES[name], "--out", path]) == 0
+    finally:
+        os.chdir(cwd)
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

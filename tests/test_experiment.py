@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from renyi2 import experiment
 from renyi2.experiment import (
     CHANNELS,
+    DETECTOR_MODELS,
     MAX_GRID_POINTS,
     MAX_SHOTS,
     ChannelEstimate,
@@ -23,7 +24,7 @@ from renyi2.experiment import (
     _phase_states,
 )
 
-from oracles import loop_simulate_counts
+from oracles import loop_estimates, loop_simulate_counts
 
 PI = np.pi
 GRID25 = tuple(np.linspace(0.0, PI, 25))
@@ -94,8 +95,11 @@ def test_run_config_normalizes_accepted_numbers():
 
 
 def test_correction_factors_per_detector_model():
-    assert _correction_factors("number_resolving") == dict.fromkeys(CHANNELS, 1.0)
-    assert _correction_factors("bucket_with_pbs") == {"cc": 4.0, "ca": 2.0, "ac": 2.0, "aa": 1.0, "other": 1.0}
+    # one read-only float vector per model, in CHANNELS order
+    for model, want in (("number_resolving", (1, 1, 1, 1, 1)), ("bucket_with_pbs", (4, 2, 2, 1, 1))):
+        factors = _correction_factors(model)
+        assert factors.dtype == np.float64 and not factors.flags.writeable
+        np.testing.assert_array_equal(factors, want)
     for bad in ("kaleidoscope", None, ["bucket_with_pbs"]):
         with pytest.raises(ValueError, match="detector_model"):
             _correction_factors(bad)
@@ -324,6 +328,19 @@ def test_estimator_fixed_example():
     assert est["ca"].degenerate == (True,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    table=st.lists(st.lists(st.integers(0, 10**6), min_size=5, max_size=5).filter(any), min_size=1, max_size=12),
+    detector_model=st.sampled_from(DETECTOR_MODELS),
+)
+@example(table=[[0, 0, 0, 7, 0], [1, 2, 3, 4, 5], [0, 9, 0, 0, 1]], detector_model="bucket_with_pbs")
+def test_estimates_match_one_channel_at_a_time(table, detector_model):
+    est = estimate_probabilities(np.linspace(0.0, PI, len(table)), np.array(table), detector_model)
+    for ch, (value, sigma, degenerate) in loop_estimates(table, detector_model).items():
+        assert np.array_equal(est[ch].value, value) and np.array_equal(est[ch].sigma, sigma), ch
+        assert np.array_equal(est[ch].degenerate, degenerate), ch
+
+
 def test_estimator_errors():
     with pytest.raises(ValueError, match="zero total"):
         estimate_probabilities([0.0, 0.5], [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "number_resolving")
@@ -461,6 +478,16 @@ def test_fit_rejects_nan_phi():
         fit_interference(*_six_points("phi", np.nan))
 
 
+@pytest.mark.parametrize("bad", [slice(2, 3), slice(None)], ids=["one", "all"])
+def test_fit_rejects_infinite_sigma(bad):
+    # inf passes `sigma > 0`: one such point would drop out of the fit, and all of them give NaN
+    phi = np.linspace(0.0, PI, 6)
+    sigma = np.full(6, 0.01)
+    sigma[bad] = np.inf
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        fit_interference(phi, aa_curve(phi), sigma)
+
+
 def test_fit_coverage_on_noisy_samples():
     truth = aa_curve(GRID25)
     failures = 0
@@ -496,6 +523,31 @@ def test_fit_is_unbiased_over_many_seeds():
     sem_amp = np.mean(s_amps) / np.sqrt(200)
     assert abs(np.mean(offs) - 0.25) < sem_off
     assert abs(np.mean(amps) - 0.15) < sem_amp
+
+
+@pytest.mark.parametrize("detector_model", DETECTOR_MODELS)
+def test_reported_minima_errors_are_calibrated_at_1e5_shots(detector_model):
+    """Pulls (fitted minimum - true minimum) / reported stderr of the `ac` and
+    `aa` fits over the fixed seed block 0..199, at 10**5 shots per phase.
+
+    Calibrated errors make the pulls unit normal. The bounds come from sampling
+    theory for 200 such pulls and were set before the first run: the mean within
+    four standard errors of 0 (4/sqrt(200)), and the sample sd, whose own
+    spread is about 1/sqrt(2 * 199) = 0.05, within [0.8, 1.2].
+    """
+    n_seeds = 200
+    # every curve is a + b cos 2 phi, so its minimum over phi sits at 0 or pi/2
+    truth = outcome_distributions([0.0, PI / 2], 0.95, 0.01).min(axis=0)
+    pulls = {"ac": [], "aa": []}
+    for seed in range(n_seeds):
+        config = RunConfig(GRID25, 10**5, visibility=0.95, background_rate=0.01, seed=seed, detector_model=detector_model)
+        fits = witness_from_run(config)["fits"]
+        for ch, values in pulls.items():
+            fit = fits[f"p_{ch}"]
+            values.append((fit["minima_values"][0] - truth[CHANNELS.index(ch)]) / fit["minima_stderr"][0])
+    for ch, values in pulls.items():
+        assert abs(np.mean(values)) <= 4.0 / np.sqrt(n_seeds), (ch, np.mean(values))
+        assert 0.8 <= np.std(values, ddof=1) <= 1.2, (ch, np.std(values, ddof=1))
 
 
 def test_minima_errors_shrink_with_shot_count():
