@@ -100,20 +100,21 @@ def _load_state(spec: str) -> DensityOperator:
     raise ValueError(f"unknown state family {spec!r} (expected singlet, werner:P or file:PATH)")
 
 
-def _load_json(path: str, what: str):
-    """The JSON value held in the file at path; ValueError if it holds none."""
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object held in the file at path; ValueError if it holds none."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     # json.load raises RecursionError on nesting deeper than the interpreter's stack
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed {what} file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what} file {path}: it must hold a JSON object")
+    return data
 
 
 def _load_matrix_file(path: str) -> DensityOperator:
     data = _load_json(path, "matrix")
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed matrix file {path}: it must hold a JSON object")
     try:
         dim_a, dim_b = (
             _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
@@ -231,8 +232,6 @@ def cmd_phase_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.config, "config")
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
     fields = dataclasses.fields(RunConfig)
     unknown = sorted(set(raw).difference(f.name for f in fields))
     if unknown:

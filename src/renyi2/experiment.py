@@ -17,10 +17,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import _require_finite
+from .qstate import _require_all, _require_finite
 from .two_copy import CollisionProbabilities, entropic_witness
 
-DETECTOR_MODELS = ("number_resolving", "bucket_with_pbs")
 # columns of one row of the report's count table
 _COUNT_FIELDS = ("phi",) + tuple(f"n_{ch}" for ch in CHANNELS)
 
@@ -42,6 +41,7 @@ _CORRECTION_FACTORS = {
 }
 for _factors in _CORRECTION_FACTORS.values():
     _factors.flags.writeable = False
+DETECTOR_MODELS = tuple(_CORRECTION_FACTORS)
 
 # numpy's multinomial takes the shot count as a C long
 MAX_SHOTS = 2**63 - 1
@@ -265,8 +265,9 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     factors = _correction_factors(detector_model)
     phi, table, n_total = _validated_counts(phi_grid, counts)
     n_total = n_total[:, None]
-    value = factors * (table / n_total)
-    sigma = _binomial_stderr(table, n_total, factors)
+    q = table / n_total
+    value = factors * q
+    sigma = _binomial_stderr(q, n_total, factors)
     degenerate = (table == 0) | (table == n_total)
     for column in (phi, value, sigma, degenerate):
         column.flags.writeable = False
@@ -281,8 +282,7 @@ def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndar
     if phi.dtype.kind not in "iuf":
         raise ValueError(f"phi must be a number, got dtype {phi.dtype}")
     phi = phi.astype(float)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError(f"phi must be finite, got {phi[~np.isfinite(phi)][0]}")
+    _require_finite("phi", phi)
     if raw.shape != (phi.size, len(CHANNELS)):
         raise ValueError(
             f"counts must be a ({phi.size}, {len(CHANNELS)}) table, one row per phase, got shape {raw.shape}"
@@ -296,34 +296,24 @@ def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndar
     # a count above MAX_SHOTS turns negative in int64, and so does the first
     # partial sum of a row whose total passes MAX_SHOTS
     table = raw.astype(np.int64)
-    bad = np.argwhere(table < 0)
-    if bad.size:
-        i, c = bad[0]
-        raise ValueError(
-            f"n_{CHANNELS[c]} must be a non-negative integer no larger than {MAX_SHOTS}, "
-            f"got {raw[i, c]} at phi={phi[i]}"
-        )
+    _require_all(
+        table.ravel() >= 0,
+        lambda k: f"n_{CHANNELS[k % len(CHANNELS)]} must be a non-negative integer no larger than {MAX_SHOTS}, "
+        f"got {raw.flat[k]} at phi={phi[k // len(CHANNELS)]}",
+        stacked=False,
+    )
     partial = np.cumsum(table, axis=1)
-    over = np.flatnonzero(partial.min(axis=1) < 0)
-    if over.size:
-        raise ValueError(f"counts at phi={phi[over[0]]} total more than {MAX_SHOTS}")
+    ok = partial.min(axis=1) >= 0
+    _require_all(ok, lambda i: f"counts at phi={phi[i]} total more than {MAX_SHOTS}", stacked=False)
     n_total = partial[:, -1]
-    empty = np.flatnonzero(n_total == 0)
-    if empty.size:
-        raise ValueError(f"zero total counts at phi={phi[empty[0]]}")
+    _require_all(n_total != 0, lambda i: f"zero total counts at phi={phi[i]}", stacked=False)
     return phi, table, n_total
 
 
-def _binomial_stderr(n: np.ndarray, n_total: np.ndarray, factor, shrunk: bool = False) -> np.ndarray:
-    """factor * sqrt(q (1 - q) / N) at the proportion q = n/N, elementwise
-    over arrays that broadcast (a count table, its (phases, 1) row totals and
-    one factor per channel).
-
-    shrunk=True takes q = (n + 1/2)/(N + 1) instead, which keeps exact-zero
-    channels from acquiring infinite weight in a fit; reported estimates stay
-    at n/N.
-    """
-    q = (n + 0.5) / (n_total + 1.0) if shrunk else n / n_total
+def _binomial_stderr(q: np.ndarray, n_total: np.ndarray, factor) -> np.ndarray:
+    """factor * sqrt(q (1 - q) / N) at the proportion q, elementwise over
+    arrays that broadcast (a proportion table, its (phases, 1) row totals and
+    one factor per channel)."""
     return factor * np.sqrt(q * (1.0 - q) / n_total)
 
 
@@ -358,7 +348,9 @@ def fit_interference(phi, y, sigma) -> FitResult:
 
     The period is fixed at pi. Needs at least 4 points spanning half a
     period and lying within _MAX_PERIODS periods of 0; every standard error
-    must be positive and finite (they set the weights).
+    must be positive and finite (they set the weights), and a refused one is
+    named with its index. Scaling every sigma by one factor, at any
+    magnitude, scales only the errors and the covariance.
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
@@ -371,9 +363,9 @@ def fit_interference(phi, y, sigma) -> FitResult:
         raise ValueError(f"need at least 4 points, got {len(phi)}")
     _require_finite("phi", phi)
     _require_finite("y", y)
-    if not np.all(sigma > 0.0):  # refuses NaN too
-        raise ValueError("standard errors must be positive")
-    _require_finite("sigma", sigma)
+    # `> 0` refuses NaN too, so the finite check below meets only inf
+    _require_all(sigma > 0.0, lambda i: f"sigma must be positive, got {sigma[i]}", stacked=True)
+    _require_finite("sigma", sigma, stacked=True)
     if np.abs(phi).max() > _MAX_PERIODS * np.pi:
         raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
 
@@ -386,10 +378,15 @@ def fit_interference(phi, y, sigma) -> FitResult:
     span = phi.max() - phi.min()
     if span < np.pi / 2 - 1e-12:
         raise ValueError(f"points span {span:.6g} rad, need at least half a period (pi/2)")
-    # SVD of the whitened design: the normal equations would square its condition
-    u, s, vt = np.linalg.svd(x / sigma[:, None], full_matrices=False)
-    beta = vt.T @ ((u.T @ (y / sigma)) / s)
-    cov = (vt.T / s**2) @ vt
+    # SVD of the whitened design: the normal equations would square its condition.
+    # It whitens by sigma / unit, unit the power of two at or below the smallest
+    # sigma, so no weight exceeds 1; the errors are scaled back exactly by unit.
+    unit = math.ldexp(1.0, math.frexp(float(sigma.min()))[1] - 1)
+    w = sigma / unit
+    u, s, vt = np.linalg.svd(x / w[:, None], full_matrices=False)
+    beta = vt.T @ ((u.T @ (y / w)) / s)
+    with np.errstate(over="ignore"):  # a covariance beyond the float range is inf
+        cov = (vt.T / s**2) @ vt * unit * unit
 
     c0, ca, sa = beta
     amplitude = float(np.hypot(ca, sa))
@@ -411,7 +408,7 @@ def fit_interference(phi, y, sigma) -> FitResult:
         grad = np.array([1.0, -ca / amplitude, -sa / amplitude])
     else:
         grad = np.array([1.0, -1.0, 0.0])
-    min_err = float(np.linalg.norm((vt @ grad) / s))
+    min_err = float(np.linalg.norm((vt @ grad) / s)) * unit
 
     n = len(locations)
     return FitResult(
@@ -437,8 +434,10 @@ def witness_from_run(config: RunConfig) -> dict:
     """
     table = simulate_counts(config)
     estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
+    # fit weights: the binomial stderr at (n + 1/2)/(N + 1), finite where a count is 0 or N
+    n_total = table.sum(axis=1)[:, None]
     factors = _correction_factors(config.detector_model)
-    sigma = _binomial_stderr(table, table.sum(axis=1)[:, None], factors, shrunk=True)
+    sigma = _binomial_stderr((table + 0.5) / (n_total + 1.0), n_total, factors)
     fits = {
         ch: fit_interference(estimates[ch].phi, estimates[ch].value, sigma[:, CHANNELS.index(ch)])
         for ch in ("ac", "aa")
@@ -451,7 +450,10 @@ def witness_from_run(config: RunConfig) -> dict:
     # the curves and p_cc absorbs the remainder
     p_cc = 1.0 - p_aa - 2.0 * p_ac
     if not 0.0 <= p_cc <= 1.0:
-        raise ValueError("fitted minima do not form a probability distribution")
+        raise ValueError(
+            f"fitted minima do not form a probability distribution: p_ac = {p_ac} and p_aa = {p_aa} "
+            f"imply p_cc = 1 - p_aa - 2 p_ac = {p_cc}, outside [0, 1]"
+        )
     verdict = entropic_witness(
         CollisionProbabilities(p_cc, p_ac, p_ac, p_aa),
         sigma=(0.0, s_ac, s_ac, s_aa),

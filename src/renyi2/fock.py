@@ -12,6 +12,8 @@ import importlib
 
 import numpy as np
 
+from .qstate import _require_finite
+
 # the outcome channels: the column order of every probability row and count
 # table, and the values of the network's OutcomeClass, in this order
 CHANNELS = ("cc", "ca", "ac", "aa", "other")
@@ -43,8 +45,7 @@ def outcome_curves(phi_grid) -> np.ndarray:
     phi = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phi.size == 0:
         raise ValueError("phase grid is empty")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phase grid holds a non-finite phase")
+    _require_finite("phi", phi)
     cos2 = (np.exp(1j * phi) ** 2).real
     return CURVE_OFFSETS + cos2[:, None] * CURVE_AMPLITUDES
 

@@ -159,19 +159,19 @@ def entropic_witness(
 ) -> WitnessVerdict:
     """Separability test p_ca >= p_aa and p_ac >= p_aa; violation flags entanglement.
 
-    sigma, when given, holds standard errors in the same order as the
-    probabilities (cc, ca, ac, aa).
+    sigma, when given, holds exactly four standard errors, finite and
+    non-negative, in the same order as the probabilities (cc, ca, ac, aa).
     """
     margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
     sig_a = sig_b = None
     if sigma is not None:
-        s_cc, s_ca, s_ac, s_aa = (float(s) for s in sigma)
-        _require_finite("sigma", (s_cc, s_ca, s_ac, s_aa))
-        for s in (s_cc, s_ca, s_ac, s_aa):
-            if s < 0.0:
-                raise ValueError(f"standard errors must be non-negative, got {s}")
-        sig_a = _margin_significance(margin_a, s_aa, s_ca)
-        sig_b = _margin_significance(margin_b, s_aa, s_ac)
+        s = np.asarray(sigma, dtype=float)
+        if s.shape != (4,):
+            raise ValueError(f"sigma must hold 4 standard errors (cc, ca, ac, aa), got shape {s.shape}")
+        _require_finite("sigma", s)
+        _require_all(s >= 0.0, lambda i: f"standard errors must be non-negative, got {s[i]}", stacked=False)
+        sig_a = _margin_significance(margin_a, s[3], s[1])
+        sig_b = _margin_significance(margin_b, s[3], s[2])
     violated_a = margin_a > MARGIN_TOL
     violated_b = margin_b > MARGIN_TOL
     return WitnessVerdict(

@@ -1,5 +1,13 @@
 import re
 
+from hypothesis import settings
+
+# one profile for every property test: no per-example deadline (a CLI run or a
+# batched eigensolve can be slow on a shared machine), and a failing property
+# prints the @reproduce_failure blob that replays it
+settings.register_profile("renyi2", deadline=None, print_blob=True)
+settings.load_profile("renyi2")
+
 _CRITERIA = {
     1: "singlet collision quadruple (3/4, 0, 0, 1/4)",
     2: "purity reconstruction closure on 1000 random states",

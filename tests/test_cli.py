@@ -382,6 +382,31 @@ def test_simulate_rejects_bad_config_with_one_error_line(capsys, tmp_path, raw_c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"run"'], ids=["list", "number", "null", "string"])
+def test_simulate_refuses_a_config_that_holds_no_json_object(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed config file {cfg}: it must hold a JSON object\n"
+
+
+def test_simulate_says_why_fitted_minima_form_no_distribution(capsys, tmp_path):
+    # one shot per phase at zero visibility: the fitted minima leave p_cc below 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "phi_grid": np.linspace(0.0, PI, 5).tolist(),
+        "shots_per_phase": 1,
+        "visibility": 0,
+        "seed": 5,
+        "detector_model": "bucket_with_pbs",
+    }))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fitted minima do not form a probability distribution: p_ac = ")
+    assert err.count("\n") == 1 and "p_aa = " in err and "p_cc = " in err
+
+
 def test_simulate_fits_at_maximal_shots(capsys, tmp_path):
     # at N = 2**63 - 1 a zero count makes the fit weights span ~18 decades;
     # the phase geometry is sound, so the run must not be refused as degenerate
@@ -545,7 +570,7 @@ def test_simulate_refuses_phases_whose_double_overflows(tmp_path):
     assert code == 2 and err.startswith("error: phi must lie within") and err.count("\n") == 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.fixed_dictionaries({
         "phi_grid": st.lists(st.floats(-2 * PI, 2 * PI), min_size=1, max_size=8),
@@ -568,7 +593,7 @@ def _matrix_file(dim_a, dim_b, seed):
     return {"dim_a": dim_a, "dim_b": dim_b, "matrix": matrix}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.builds(_matrix_file, st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
     .flatmap(corrupted)
@@ -576,6 +601,30 @@ def _matrix_file(dim_a, dim_b, seed):
 def test_fuzzed_matrix_file_keeps_the_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         assert_contract(*run_purity(data, tmp), data)
+
+
+# any JSON value: nested lists and objects, strings, bools, null, integers
+# beyond 64 bits, NaN and the infinities
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+        st.integers(-(2**70), 2**70), st.sampled_from([2**70, -(2**70)]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize(
+    "run, base", [(run_simulate, FUZZ_CONFIG), (run_purity, FUZZ_MATRIX_FILE)], ids=["simulate", "purity"]
+)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_any_json_in_any_field_keeps_the_contract(run, base, data):
+    # each field keeps its value or holds an arbitrary JSON value
+    raw = data.draw(st.fixed_dictionaries({k: st.one_of(st.just(v), JSON_VALUES) for k, v in base.items()}))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_contract(*run(raw, tmp), raw)
 
 
 # flag values per subcommand; "{tmp}" stands for a fresh temporary directory
@@ -637,7 +686,7 @@ def fuzzed_argv(draw, subcommand):
 
 
 @pytest.mark.parametrize("subcommand", sorted(ARGV_FLAGS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_fuzzed_argv_keeps_the_contract(subcommand, data):
     argv = data.draw(fuzzed_argv(subcommand))
@@ -664,7 +713,7 @@ def _count_row(phi, n_cc, n_ca, n_ac, n_aa, n_other):
     return {"phi": phi, "n_cc": n_cc, "n_ca": n_ca, "n_ac": n_ac, "n_aa": n_aa, "n_other": n_other}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(
     st.builds(
         _count_row,
@@ -699,7 +748,7 @@ def tables(draw, min_rows=0):
 EDGE_TABLE = (("phi", "n_cc", "a", "Z"), [(-0.0, 0, 5e-324, MAX_SHOTS), (1e300, MAX_SHOTS, 0, -0.0)])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(tables())
 @example(EDGE_TABLE)
 @example((("b", "a"), []))
@@ -708,7 +757,7 @@ def test_table_json_matches_canonical_json(table):
     assert cli._table(keys, rows, "json") == _canonical_json([dict(zip(keys, row)) for row in rows])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(tables())
 @example(EDGE_TABLE)
 def test_table_csv_joins_formatted_cells(table):
@@ -718,7 +767,7 @@ def test_table_csv_joins_formatted_cells(table):
     assert cli._table(keys, iter(rows), "csv") == "\n".join(lines) + "\n"
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(tables(min_rows=1), st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.data())
 def test_table_json_refuses_non_finite_cells(table, bad, data):
     keys, rows = table

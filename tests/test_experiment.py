@@ -94,6 +94,11 @@ def test_run_config_normalizes_accepted_numbers():
     assert RunConfig(phi_grid=[0.5], shots_per_phase=2000.0).shots_per_phase == 2000
 
 
+def test_detector_models_are_the_keys_of_the_correction_table():
+    assert DETECTOR_MODELS == ("number_resolving", "bucket_with_pbs")
+    assert DETECTOR_MODELS == tuple(experiment._CORRECTION_FACTORS)
+
+
 def test_correction_factors_per_detector_model():
     # one read-only float vector per model, in CHANNELS order
     for model, want in (("number_resolving", (1, 1, 1, 1, 1)), ("bucket_with_pbs", (4, 2, 2, 1, 1))):
@@ -206,7 +211,7 @@ def test_noise_parameters_outside_the_unit_interval_are_refused(name, bad):
         RunConfig(phi_grid=(0.0, 1.0), shots_per_phase=10, **noise)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     phi=st.floats(allow_nan=False, allow_infinity=False),
     visibility=st.floats(min_value=0.0, max_value=1.0),
@@ -237,7 +242,7 @@ def test_run_config_bounds_the_grid_without_reading_past_the_limit(monkeypatch):
         RunConfig(phi_grid=itertools.repeat(0.5), shots_per_phase=1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2**64 - 1), st.integers(0, MAX_GRID_POINTS))
 @example(0, 0)
 @example(2**32 - 1, 1)
@@ -250,7 +255,7 @@ def test_phase_state_rows_are_numpy_seed_sequence_states(seed, k):
         assert row.dtype == np.uint64 and np.array_equal(row, expected)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**64 - 1),
     shots=st.integers(1, MAX_SHOTS),
@@ -328,7 +333,7 @@ def test_estimator_fixed_example():
     assert est["ca"].degenerate == (True,)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     table=st.lists(st.lists(st.integers(0, 10**6), min_size=5, max_size=5).filter(any), min_size=1, max_size=12),
     detector_model=st.sampled_from(DETECTOR_MODELS),
@@ -486,6 +491,60 @@ def test_fit_rejects_infinite_sigma(bad):
     sigma[bad] = np.inf
     with pytest.raises(ValueError, match="sigma must be finite"):
         fit_interference(phi, aa_curve(phi), sigma)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (0.0, "^stack index 2: sigma must be positive, got 0.0$"),
+        (-0.1, "^stack index 2: sigma must be positive, got -0.1$"),
+        (np.nan, "^stack index 2: sigma must be positive, got nan$"),
+        (np.inf, "^stack index 2: sigma must be finite, got inf$"),
+    ],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_fit_names_a_refused_sigma_and_its_index(bad, match):
+    # the message was "standard errors must be positive", with no value or index
+    phi = np.linspace(0.0, PI, 6)
+    sigma = np.full(6, 0.01)
+    sigma[2] = bad
+    with pytest.raises(ValueError, match=match):
+        fit_interference(phi, aa_curve(phi), sigma)
+
+
+def test_fit_errors_scale_with_sigma_at_any_magnitude():
+    # sigma = 1e300 gave an infinite stderr and 1e-300 gave 0.0, each with a
+    # numpy warning, and the subnormal 1e-320 raised LinAlgError
+    phi = np.linspace(0.0, PI, 6)
+    y = aa_curve(phi)
+    ref = fit_interference(phi, y, np.ones(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e300):
+            fit = fit_interference(phi, y, np.full(6, scale))
+            assert fit.minima_values[0] == pytest.approx(ref.minima_values[0], rel=1e-12, abs=1e-12)
+            assert fit.minima_stderr[0] / scale == pytest.approx(ref.minima_stderr[0], rel=1e-12, abs=1e-12)
+        stderr = fit_interference(phi, y, np.full(6, 1e-320)).minima_stderr[0]
+        assert np.isfinite(stderr) and stderr > 0.0
+        # scaling by a power of two is exact: the fit is the same to the bit
+        sigma = np.linspace(0.01, 0.02, 6)
+        fit, scaled = fit_interference(phi, y, sigma), fit_interference(phi, y, sigma * 2.0**-900)
+        assert scaled.minima_values == fit.minima_values and scaled.offset == fit.offset
+        assert scaled.minima_stderr[0] == fit.minima_stderr[0] * 2.0**-900
+
+
+def test_fit_weights_are_the_binomial_stderr_at_the_shrunk_proportion():
+    # witness_from_run weights each phase by the stderr at (n + 1/2)/(N + 1), not at n/N
+    config = RunConfig(GRID25, 1000, visibility=0.9, seed=11, detector_model="bucket_with_pbs")
+    table = simulate_counts(config)
+    estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
+    n_total = table.sum(axis=1)
+    fits = witness_from_run(config)["fits"]
+    for ch in ("ac", "aa"):
+        c = CHANNELS.index(ch)
+        q = (table[:, c] + 0.5) / (n_total + 1.0)
+        sigma = _correction_factors(config.detector_model)[c] * np.sqrt(q * (1.0 - q) / n_total)
+        assert fit_interference(estimates[ch].phi, estimates[ch].value, sigma).as_dict() == fits[f"p_{ch}"]
 
 
 def test_fit_coverage_on_noisy_samples():

@@ -487,7 +487,7 @@ def test_outcome_curves_reject_empty_and_non_finite_grids():
     with pytest.raises(ValueError, match="empty"):
         outcome_curves([])
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {bad}$"):
             outcome_curves([0.0, bad])
 
 

@@ -49,7 +49,7 @@ def stack_of(states) -> np.ndarray:
     return density_stack([r.matrix for r in states], states[0].dim_a, states[0].dim_b)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dim_a=DIMS, dim_b=DIMS, n=SIZES, seed=SEEDS)
 def test_stacked_rows_match_per_state_oracles(dim_a, dim_b, n, seed):
     states = random_states(dim_a, dim_b, n, seed)
@@ -64,7 +64,7 @@ def test_stacked_rows_match_per_state_oracles(dim_a, dim_b, n, seed):
         assert abs(ppt[k] - ppt_min_eigenvalue(rho)) < 1e-15
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(n=SIZES, seed=SEEDS)
 def test_stacked_chsh_matches_kron_oracle(n, seed):
     states = random_states(2, 2, n, seed)
@@ -75,7 +75,7 @@ def test_stacked_chsh_matches_kron_oracle(n, seed):
         assert abs(got[k] - max_chsh(rho)) < 1e-15
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dim_a=DIMS, dim_b=DIMS, n=SIZES, seed=SEEDS)
 def test_quadruples_sum_to_one_and_invert_to_purities(dim_a, dim_b, n, seed):
     states = random_states(dim_a, dim_b, n, seed)
@@ -87,7 +87,7 @@ def test_quadruples_sum_to_one_and_invert_to_purities(dim_a, dim_b, n, seed):
         assert np.max(np.abs(np.subtract(rec, truth))) < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(dim_a=DIMS, dim_b=DIMS, seed=SEEDS)
 def test_witness_never_fires_on_product_states(dim_a, dim_b, seed):
     rng = np.random.default_rng(seed)
@@ -123,7 +123,7 @@ DENSITY_DEFECTS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(dim_a=DIMS, dim_b=DIMS, n=st.integers(2, 6), kind=st.sampled_from(sorted(DENSITY_DEFECTS)),
        data=st.data())
 def test_density_stack_names_the_bad_index(dim_a, dim_b, n, kind, data):
@@ -139,7 +139,7 @@ def test_density_stack_names_the_bad_index(dim_a, dim_b, n, kind, data):
         make_density(m[bad], dim_a, dim_b)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(n=st.integers(2, 6), data=st.data())
 def test_stacked_kernels_name_the_bad_index(n, data):
     bad = data.draw(st.integers(1, n - 1))

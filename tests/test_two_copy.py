@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,7 +71,7 @@ def test_collision_probabilities_maximally_mixed():
     assert np.allclose(got, want, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     dim_a=st.sampled_from([2, 3, 4]),
     dim_b=st.sampled_from([2, 3, 4]),
@@ -155,6 +157,17 @@ def test_witness_rejects_non_finite_errors(bad):
     p = collision_probabilities(werner(0.8))
     with pytest.raises(ValueError, match="sigma must be finite"):
         entropic_witness(p, sigma=(0.0, bad, 0.01, 0.01))
+
+
+@pytest.mark.parametrize(
+    "sigma", [(0.1,) * 3, (0.1,) * 5, [[0.1, 0.1], [0.1, 0.1]], 0.1], ids=["3", "5", "2x2", "scalar"]
+)
+def test_witness_names_sigma_and_its_length(sigma):
+    # a 3-tuple died with "not enough values to unpack (expected 4, got 3)"
+    p = collision_probabilities(werner(0.8))
+    want = rf"sigma must hold 4 standard errors \(cc, ca, ac, aa\), got shape {re.escape(str(np.shape(sigma)))}"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        entropic_witness(p, sigma=sigma)
 
 
 def test_identity_closure_on_random_states():
