@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _require_all, _require_finite
+from renyi2.qstate import DensityOperator, _require_all, _require_finite, _stack
 
 PAULI = np.array(
     [
@@ -65,9 +65,10 @@ def _check_correlations(t: np.ndarray, stacked: bool) -> np.ndarray:
 
 def _pauli_correlations(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """t_ij = Tr(rho sigma_i kron sigma_j) of each member of an (n, 4, 4) stack."""
+    m, dim_a, dim_b = _stack(matrices, dim_a, dim_b)
     if (dim_a, dim_b) != (2, 2):
         raise ValueError(f"dimension mismatch: need a 2x2 state, got {dim_a} x {dim_b}")
-    return np.einsum("ijkl,nlk->nij", PAULI_PAIRS, matrices).real
+    return np.einsum("ijkl,nlk->nij", PAULI_PAIRS, m).real
 
 
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
@@ -81,7 +82,8 @@ def max_chsh(rho: DensityOperator) -> float:
 
 
 def max_chsh_values(matrices, dim_a: int, dim_b: int) -> np.ndarray:
-    """max_chsh of each member of a validated (n, 4, 4) stack of two-qubit states.
+    """max_chsh of each member of a validated (n, 4, 4) stack of two-qubit states;
+    any other shape, or dimensions other than 2 x 2, raise ValueError.
 
     One batched SVD of the correlation tensors runs the CorrelationMatrix
     checks (a failure names the index) and gives 2*sqrt(s1^2 + s2^2).

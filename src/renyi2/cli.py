@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .chsh import max_chsh_values
-from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, _integer, witness_from_run
+from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, witness_from_run
 from .fock import _CURVE_FIELDS, outcome_curves
 from .qstate import (
     DensityOperator,
@@ -116,10 +116,7 @@ def _load_json(path: str, what: str) -> dict:
 def _load_matrix_file(path: str) -> DensityOperator:
     data = _load_json(path, "matrix")
     try:
-        dim_a, dim_b = (
-            _integer(name, data[name], 1, 2**63 - 1, "a positive integer below 2**63")
-            for name in ("dim_a", "dim_b")
-        )
+        dim_a, dim_b = data["dim_a"], data["dim_b"]
         rows = [[_matrix_entry(e) for e in row] for row in data["matrix"]]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None

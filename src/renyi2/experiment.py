@@ -12,12 +12,11 @@ JSON-ready report whose counts are rows in _COUNT_FIELDS order.
 import math
 from dataclasses import dataclass, fields
 from itertools import islice
-from numbers import Integral, Real
 
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import _require_all, _require_finite
+from .qstate import _finite, _integer, _probability, _require_all, _require_finite
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -67,39 +66,6 @@ def _correction_factors(detector_model: str) -> np.ndarray:
         raise ValueError(
             f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}"
         ) from None
-
-
-def _finite(name: str, x) -> float:
-    """x as a float; ValueError naming the field unless it is a finite real number."""
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise ValueError(f"{name} must be a number, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return value
-
-
-def _probability(name: str, x) -> float:
-    """x as a float in [0, 1]; ValueError naming the field otherwise."""
-    value = _finite(name, x)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {x}")
-    return value
-
-
-def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
-    """x as an int in [lo, hi]; ValueError naming the field otherwise."""
-    if isinstance(x, Integral) and not isinstance(x, bool):
-        n = int(x)
-    else:
-        value = _finite(name, x)
-        n = int(value) if value.is_integer() else None
-    if n is None or not lo <= n <= hi:
-        raise ValueError(f"{name} must be {what}, got {x!r}")
-    return n
 
 
 @dataclass(frozen=True)

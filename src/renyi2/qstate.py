@@ -7,7 +7,9 @@ Subsystem A is always the first tensor factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -16,6 +18,8 @@ TRACE_TOL = 1e-10
 # Eigenvalue floor rather than Cholesky: boundary states (werner at the PPT
 # threshold, projectors) sit numerically on the PSD edge.
 PSD_TOL = 1e-10
+# bounds of a local dimension or a component count: numpy sizes an axis with a C long
+_COUNT = (1, 2**63 - 1, "a positive integer below 2**63")
 
 
 def _require_all(ok, message, stacked: bool) -> None:
@@ -37,16 +41,60 @@ def _require_finite(name: str, values, stacked: bool = False) -> None:
     _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
 
 
-def _validated(matrices, dim_a: int, dim_b: int, stacked: bool) -> np.ndarray:
-    """Read-only complex copy of one matrix, or of an (n, d, d) stack, once every
-    density-operator check has passed on every member (one batched eigvalsh)."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"dimensions must be positive integers, got {dim_a} x {dim_b}")
-    m = np.array(matrices, dtype=complex)
+def _finite(name: str, x) -> float:
+    """x as a float; ValueError naming the field unless it is a finite real number."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return value
+
+
+def _probability(name: str, x) -> float:
+    """x as a float in [0, 1]; ValueError naming the field otherwise."""
+    value = _finite(name, x)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+    return value
+
+
+def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
+    """x as an int in [lo, hi]; ValueError naming the field otherwise."""
+    if isinstance(x, Integral) and not isinstance(x, bool):
+        n = int(x)
+    else:
+        value = _finite(name, x)
+        n = int(value) if value.is_integer() else None
+    if n is None or not lo <= n <= hi:
+        raise ValueError(f"{name} must be {what}, got {x!r}")
+    return n
+
+
+def _dims(dim_a, dim_b) -> tuple[int, int]:
+    """Both local dimensions as ints (2.0 reads as 2); ValueError naming the first refused."""
+    return _integer("dim_a", dim_a, *_COUNT), _integer("dim_b", dim_b, *_COUNT)
+
+
+def _stack(matrices, dim_a, dim_b, stacked: bool = True) -> tuple[np.ndarray, int, int]:
+    """(m, dim_a, dim_b): matrices as an (n, d, d) array, or (d, d) unless stacked, with
+    d = dim_a * dim_b and both dimensions read by _dims; ValueError for any other shape."""
+    dim_a, dim_b = _dims(dim_a, dim_b)
+    m = np.asarray(matrices)
     d = dim_a * dim_b
     if m.ndim != 2 + stacked or m.shape[-2:] != (d, d):
         want = f"(n, {d}, {d})" if stacked else f"({d}, {d})"
         raise ValueError(f"dimension mismatch: matrix shape {m.shape}, expected {want}")
+    return m, dim_a, dim_b
+
+
+def _validated(matrices, dim_a: int, dim_b: int, stacked: bool) -> np.ndarray:
+    """Read-only complex copy of one matrix, or of an (n, d, d) stack, once every
+    density-operator check has passed on every member (one batched eigvalsh)."""
+    m = _stack(np.array(matrices, dtype=complex), dim_a, dim_b, stacked)[0]
     s = m if stacked else m[None]
     _require_finite("matrix", m, stacked)
     herm = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
@@ -78,7 +126,7 @@ def density_stack(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     read-only complex array, the input the stacked kernels take. A failure
     names the invariant and the index of the first member that breaks it.
     """
-    return _validated(matrices, dim_a, dim_b, stacked=True)
+    return _validated(matrices, *_dims(dim_a, dim_b), stacked=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +142,9 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _validated(self.matrix, self.dim_a, self.dim_b, stacked=False)
-        object.__setattr__(self, "matrix", m)
+        dim_a, dim_b = _dims(self.dim_a, self.dim_b)
+        m = _validated(self.matrix, dim_a, dim_b, stacked=False)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, matrix=m)  # past the frozen __setattr__
 
     @property
     def dim(self) -> int:
@@ -105,7 +154,9 @@ class DensityOperator:
 def make_density(matrix, dim_a: int, dim_b: int) -> DensityOperator:
     """Validate a complex square matrix as a density operator.
 
-    Raises ValueError naming the violated invariant (Hermiticity, trace,
+    dim_a and dim_b are positive integers (2.0 reads as 2; a bool, 2.5 or
+    NaN is refused) and are stored as ints. Raises ValueError naming the
+    refused dimension or the violated invariant (Hermiticity, trace,
     positivity, or shape) and by how much.
     """
     return DensityOperator(dim_a, dim_b, matrix)
@@ -127,10 +178,8 @@ def _werner_matrices(ps: np.ndarray) -> np.ndarray:
 
 
 def werner(p: float) -> DensityOperator:
-    """Werner-family state p * singlet + (1 - p) * I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter must be in [0, 1], got {p}")
-    return DensityOperator(2, 2, _werner_matrices(np.array([p], dtype=float))[0])
+    """Werner-family state p * singlet + (1 - p) * I/4; p is a finite number in [0, 1], not a bool."""
+    return DensityOperator(2, 2, _werner_matrices(np.array([_probability("mixing parameter", p)]))[0])
 
 
 def werner_stack(ps) -> np.ndarray:
@@ -177,11 +226,13 @@ def ppt_min_eigenvalue(rho: DensityOperator) -> float:
 
 
 def ppt_min_eigenvalues(matrices, dim_a: int, dim_b: int) -> np.ndarray:
-    """ppt_min_eigenvalue of each member of a validated (n, d, d) stack, one batched eigvalsh."""
+    """ppt_min_eigenvalue of each member of a validated (n, d, d) stack, one batched eigvalsh;
+    any other shape, or dimensions that are not positive integers, raise ValueError."""
+    m, dim_a, dim_b = _stack(matrices, dim_a, dim_b)
     if dim_b < 2:
         raise ValueError("partial transpose needs a bipartite state (dim_b >= 2)")
     d = dim_a * dim_b
-    r = np.asarray(matrices).reshape(-1, dim_a, dim_b, dim_a, dim_b)
+    r = m.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     return np.linalg.eigvalsh(r.transpose(0, 1, 4, 3, 2).reshape(-1, d, d))[:, 0]
 
 
@@ -194,12 +245,12 @@ def random_density(
     """Random mixture of Haar pure states with Dirichlet weights.
 
     components defaults to the total dimension (generically full rank);
-    components=1 draws a single Haar-random pure state.
+    components=1 draws a single Haar-random pure state. The dimensions and
+    components are positive integers (1.0 reads as 1); a refused one raises
+    ValueError before anything is drawn.
     """
-    d = dim_a * dim_b
-    k = d if components is None else components
-    if k < 1:
-        raise ValueError(f"need at least one mixture component, got {k}")
+    d = math.prod(_dims(dim_a, dim_b))
+    k = d if components is None else _integer("components", components, *_COUNT)
     weights = rng.dirichlet(np.ones(k))
     m = np.zeros((d, d), dtype=complex)
     for w in weights:

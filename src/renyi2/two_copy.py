@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _require_all, _require_finite
+from renyi2.qstate import DensityOperator, _require_all, _require_finite, _stack
 
 PROB_SUM_TOL = 1e-10
 # slack for collision probabilities that land a hair outside [0, 1]
@@ -65,13 +65,14 @@ def collision_probabilities(rho: DensityOperator) -> CollisionProbabilities:
 
 def collision_quadruples(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     """collision_probabilities of each member of a validated (n, d, d) stack, as rows
-    (p_cc, p_ca, p_ac, p_aa) of an (n, 4) array, range and sum checked on the stack."""
+    (p_cc, p_ca, p_ac, p_aa) of an (n, 4) array, range and sum checked on the stack;
+    any other shape, or dimensions that are not integers >= 2, raise ValueError."""
+    m, dim_a, dim_b = _stack(matrices, dim_a, dim_b)
     if dim_a < 2 or dim_b < 2:
         raise ValueError(
             f"dimension mismatch: need a bipartite state with both local "
             f"dimensions >= 2, got {dim_a} x {dim_b}"
         )
-    m = np.asarray(matrices)
     r = m.reshape(-1, dim_a, dim_b, dim_a, dim_b)
     # tr X^2 = sum |X_ij|^2 for Hermitian X
     j, a, b = (
@@ -148,8 +149,11 @@ def _margin_significance(margin: float, s1: float, s2: float) -> float:
 
 
 def witness_margins(quadruples) -> np.ndarray:
-    """(margin_a, margin_b) = (p_aa - p_ca, p_aa - p_ac) of each row of an (n, 4) quadruple stack."""
+    """(margin_a, margin_b) = (p_aa - p_ca, p_aa - p_ac) of each row of an (n, 4) quadruple stack;
+    any other shape raises ValueError."""
     q = np.asarray(quadruples, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"quadruples must form an (n, 4) array, got shape {q.shape}")
     return np.stack([q[:, 3] - q[:, 1], q[:, 3] - q[:, 2]], axis=1)
 
 

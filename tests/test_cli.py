@@ -128,6 +128,23 @@ def test_purity_rejects_malformed_matrix_file(capsys, tmp_path, text):
     assert err.startswith(f"error: malformed matrix file {f}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_purity_refuses_a_non_finite_werner_parameter(capsys, value):
+    # the message used to be "mixing parameter must be in [0, 1], got nan"
+    code, out, err = run_cli(capsys, "purity", "--state", f"werner:{value}")
+    assert_contract(code, err, value)
+    assert (code, out, err) == (2, "", f"error: mixing parameter must be finite, got {value}\n")
+
+
+def test_purity_reports_bad_matrix_entries_before_bad_dimensions(capsys, tmp_path):
+    # the dimensions are read by make_density, once every entry has been read
+    f = tmp_path / "state.json"
+    f.write_text('{"dim_a": 2.5, "dim_b": 2, "matrix": [[true, 0], [0, 0]]}')
+    code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix entries must be numbers") and err.count("\n") == 1
+
+
 def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
     # Python's json reads NaN; this used to fail later, as "p_cc = nan outside [0, 1]"
     f = tmp_path / "nan.json"

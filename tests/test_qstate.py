@@ -1,18 +1,28 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renyi2.chsh import max_chsh_values
+from renyi2.experiment import outcome_distributions
 from renyi2.qstate import (
     DensityOperator,
     SINGLET_VEC,
     make_density,
     partial_trace,
     ppt_min_eigenvalue,
+    ppt_min_eigenvalues,
     purity,
     random_density,
     singlet,
     tensor,
     werner,
+    werner_stack,
 )
+from renyi2.two_copy import CollisionProbabilities, collision_quadruples, entropic_witness, witness_margins
 
 
 def test_make_density_maximally_mixed():
@@ -206,3 +216,99 @@ def test_random_density_rejects_zero_components():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="component"):
         random_density(2, 2, rng, components=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_density(np.eye(5) / 5, 2.5, 2), "dim_a must be a positive integer below 2**63, got 2.5"),
+        (lambda: make_density(np.eye(4) / 4, True, 4), "dim_a must be a number, got True"),
+        (lambda: make_density(np.eye(4) / 4, 4, 0), "dim_b must be a positive integer below 2**63, got 0"),
+        (lambda: werner(True), "mixing parameter must be a number, got True"),
+        (lambda: werner(np.nan), "mixing parameter must be finite, got nan"),
+        (lambda: werner(-np.inf), "mixing parameter must be finite, got -inf"),
+        (
+            lambda: random_density(2, 2, np.random.default_rng(0), components=1.5),
+            "components must be a positive integer below 2**63, got 1.5",
+        ),
+        (lambda: random_density(0.5, 2, np.random.default_rng(0)), "dim_a must be a positive integer below 2**63, got 0.5"),
+    ],
+    ids=["fractional-dim", "bool-dim", "zero-dim", "bool-p", "nan-p", "inf-p", "fractional-components", "fractional-random-dim"],
+)
+def test_refused_numbers_name_their_argument(call, message):
+    # each used to build a state whose later use raised TypeError, or read True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_random_density_refuses_its_dimensions_before_drawing():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^dim_b must be"):
+        random_density(2, -3, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_integral_numbers_read_as_ints():
+    rho = make_density(np.eye(4) / 4, 2.0, np.int64(2))
+    assert type(rho.dim_a) is int and type(rho.dim_b) is int and rho.dim_a == rho.dim_b == 2
+    assert np.allclose(partial_trace(rho, "A").matrix, np.eye(2) / 2, atol=1e-15)
+    # one component is a pure state
+    assert abs(purity(random_density(2, 2, np.random.default_rng(0), components=1.0)) - 1.0) < 1e-12
+
+
+# any scalar a caller may pass: bools, ints beyond every C integer type, every
+# float with NaN and the infinities
+NUMBERS = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.floats())
+# random_density allocates arrays d = dim_a * dim_b and components wide, and a
+# 10**15-wide state raises MemoryError, which is not a defect: its integral
+# values stay at most 4
+SMALL_NUMBERS = st.one_of(
+    st.booleans(), st.integers(-(2**70), 4), st.floats().filter(lambda x: not (x > 4 and x.is_integer()))
+)
+STACK = werner_stack([0.3, 0.9])
+SURE = CollisionProbabilities(0.75, 0.0, 0.0, 0.25)
+
+# each scalar the library reads: the name its refusal gives (None where the
+# value is an entry of an array), whether it is a count, its strategy, the call
+LIBRARY_NUMBERS = {
+    "make_density-dim_a": ("dim_a", True, NUMBERS, lambda x: make_density(np.eye(4) / 4, x, 2)),
+    "make_density-dim_b": ("dim_b", True, NUMBERS, lambda x: make_density(np.eye(4) / 4, 2, x)),
+    "random_density-dim_a": ("dim_a", True, SMALL_NUMBERS, lambda x: random_density(x, 2, np.random.default_rng(0))),
+    "random_density-dim_b": ("dim_b", True, SMALL_NUMBERS, lambda x: random_density(2, x, np.random.default_rng(0))),
+    "random_density-components": (
+        "components", True, SMALL_NUMBERS, lambda x: random_density(2, 2, np.random.default_rng(0), x)
+    ),
+    "werner-p": ("mixing parameter", False, NUMBERS, werner),
+    "visibility": ("visibility", False, NUMBERS, lambda x: outcome_distributions([0.0, 1.0], x, 0.0)),
+    "background_rate": ("background_rate", False, NUMBERS, lambda x: outcome_distributions([0.0, 1.0], 1.0, x)),
+    "sigma-entry": (None, False, NUMBERS, lambda x: entropic_witness(SURE, (0.01, 0.01, 0.01, x))),
+    "witness_margins": (None, False, NUMBERS, witness_margins),
+    "witness_margins-entry": (None, False, NUMBERS, lambda x: witness_margins([[0.25, 0.25, 0.25, x]])),
+    **{
+        f"{kernel.__name__}-{name}": (name, True, NUMBERS, call)
+        for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues)
+        for name, call in (
+            ("dim_a", lambda x, kernel=kernel: kernel(STACK, x, 2)),
+            ("dim_b", lambda x, kernel=kernel: kernel(STACK, 2, x)),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_NUMBERS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_number_in_any_argument_returns_or_is_refused(case, data):
+    name, count, numbers, call = LIBRARY_NUMBERS[case]
+    x = data.draw(numbers)
+    refusal = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(x)
+        except ValueError as exc:
+            refusal = str(exc)
+    # a bool is not a number, and a count is an integer
+    if name is not None and (isinstance(x, bool) or (count and not float(x).is_integer())):
+        assert refusal is not None and refusal.startswith(f"{name} must be"), (x, refusal)

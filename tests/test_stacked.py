@@ -29,6 +29,7 @@ from renyi2.two_copy import (
     collision_quadruples,
     entropic_witness,
     purities_from_probabilities,
+    witness_margins,
 )
 
 from oracles import kron_correlation_matrix, loop_ppt_min_eigenvalue, projector_collision_probabilities
@@ -168,6 +169,28 @@ def test_stacked_kernels_reject_wrong_dimensions():
         ppt_min_eigenvalues(stack, 4, 1)
     with pytest.raises(ValueError, match="1-D"):
         werner_stack(0.5)
+
+
+def test_stacked_kernels_and_margins_refuse_other_shapes():
+    # a single matrix used to reach numpy's einsum ("too many subscripts"), or
+    # to be read as a stack of its rows; a single quadruple raised IndexError
+    for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: matrix shape \(4, 4\), expected \(n, 4, 4\)$"):
+            kernel(np.eye(4) / 4, 2, 2)
+    with pytest.raises(ValueError, match=r"^quadruples must form an \(n, 4\) array, got shape \(4,\)$"):
+        witness_margins([0.25] * 4)
+    with pytest.raises(ValueError, match=r"^quadruples must form an \(n, 4\) array, got shape \(2, 3\)$"):
+        witness_margins(np.zeros((2, 3)))
+
+
+def test_stacked_kernels_read_their_dimensions_as_integers():
+    stack = werner_stack([0.2, 0.8])
+    for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues):
+        np.testing.assert_array_equal(kernel(stack, 2.0, np.int64(2)), kernel(stack, 2, 2))
+        with pytest.raises(ValueError, match="^dim_a must be a number, got True$"):
+            kernel(stack, True, 2)
+        with pytest.raises(ValueError, match=r"^dim_b must be a positive integer below 2\*\*63, got 2.5$"):
+            kernel(stack, 2, 2.5)
 
 
 def test_werner_scan_calls_each_kernel_once(tmp_path, monkeypatch):
