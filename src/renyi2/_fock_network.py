@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from renyi2.fock import CHANNELS
-from renyi2.qstate import DensityOperator, _require_finite
+from renyi2.qstate import DensityOperator, _numbers
 
 NORM_TOL = 1e-10
 DEFAULT_CAP = 4
@@ -101,7 +101,7 @@ class FockState:
             a = complex(amp)
             if a != 0:
                 amps[occ] = a
-        _require_finite("amplitudes", list(amps.values()))
+        _numbers("amplitudes", list(amps.values()), complex)
         if normalized:
             nrm = sum(abs(a) ** 2 for a in amps.values())
             if abs(nrm - 1.0) > NORM_TOL:
@@ -366,7 +366,7 @@ class CoincidenceRecord:
     def __post_init__(self):
         vals = tuple(self.as_dict().values())
         for name, v in zip(CHANNELS, vals):
-            _require_finite(name, v)
+            _numbers(name, v, float)
         if min(vals) < -1e-12:
             raise ValueError(f"negative probability in {vals}")
         total = sum(vals)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _require_all, _require_finite, _stack
+from renyi2.qstate import DensityOperator, _numbers, _require_all, _stack
 
 PAULI = np.array(
     [
@@ -39,7 +39,7 @@ class CorrelationMatrix:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
+        t = _numbers("correlation matrix t", self.t, float)
         if t.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
         _check_correlations(t[None], stacked=False)
@@ -49,7 +49,6 @@ class CorrelationMatrix:
 
 def _check_correlations(t: np.ndarray, stacked: bool) -> np.ndarray:
     """CorrelationMatrix checks on an (n, 3, 3) stack; returns its singular values (n, 3)."""
-    _require_finite("correlation matrix t", t, stacked)
     worst = np.abs(t).max(axis=(1, 2))
     _require_all(
         worst <= 1.0 + ENTRY_TOL,

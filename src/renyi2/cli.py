@@ -18,7 +18,7 @@ import numpy as np
 
 from .chsh import max_chsh_values
 from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, witness_from_run
-from .fock import _CURVE_FIELDS, outcome_curves
+from .fock import _CURVE_FIELDS, coincidence_curves
 from .qstate import (
     DensityOperator,
     make_density,
@@ -123,7 +123,7 @@ def _load_matrix_file(path: str) -> DensityOperator:
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise ValueError(f"malformed matrix file {path}: rows differ in length {lengths}")
-    return make_density(np.array(rows), dim_a, dim_b)
+    return make_density(rows, dim_a, dim_b)
 
 
 def _matrix_entry(e) -> complex:
@@ -221,9 +221,7 @@ def cmd_werner_scan(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi, 25)
-    # `other` has no curve
-    curves = outcome_curves(grid)[:, :-1]
-    _emit(_table(_CURVE_FIELDS, zip(grid.tolist(), *curves.T.tolist()), args.format), args.out)
+    _emit(_table(_CURVE_FIELDS, coincidence_curves(grid), args.format), args.out)
     return 0
 
 

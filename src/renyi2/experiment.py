@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import _finite, _integer, _probability, _require_all, _require_finite
+from .qstate import _finite, _integer, _numbers, _probability, _require_all
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -81,7 +81,8 @@ class RunConfig:
 
     def __post_init__(self):
         grid = self.phi_grid
-        if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__"):
+        # a 0-d array has __iter__, but iterating it raises TypeError
+        if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__") or getattr(grid, "ndim", 1) == 0:
             raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
         # one entry past the limit is enough to refuse the grid
         grid = tuple(_finite("phi_grid entry", p) for p in islice(grid, MAX_GRID_POINTS + 1))
@@ -242,30 +243,20 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
 
 def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(float64 copy of phases, int64 table, row totals); ValueError naming the first fault."""
-    phi, raw = np.asarray(phi_grid), np.asarray(counts)
+    phi = _numbers("phi", phi_grid, float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi_grid must be a non-empty sequence of phases, got shape {phi.shape}")
-    if phi.dtype.kind not in "iuf":
-        raise ValueError(f"phi must be a number, got dtype {phi.dtype}")
-    phi = phi.astype(float)
-    _require_finite("phi", phi)
-    if raw.shape != (phi.size, len(CHANNELS)):
-        raise ValueError(
-            f"counts must be a ({phi.size}, {len(CHANNELS)}) table, one row per phase, got shape {raw.shape}"
-        )
-    if raw.dtype.kind not in "iu":  # bool is kind "b"
-        raise ValueError(f"counts must be integers, got dtype {raw.dtype}")
-    # numpy reads a bool among ints as 1, so a table given as lists is read entry by entry
-    entries = () if raw is counts else np.asarray(counts, dtype=object).flat
-    if any(isinstance(x, (bool, np.bool_)) for x in entries):
-        raise ValueError("counts must be integers, got a bool")
     # a count above MAX_SHOTS turns negative in int64, and so does the first
     # partial sum of a row whose total passes MAX_SHOTS
-    table = raw.astype(np.int64)
+    table = _numbers("counts", counts, np.int64)
+    if table.shape != (phi.size, len(CHANNELS)):
+        raise ValueError(
+            f"counts must be a ({phi.size}, {len(CHANNELS)}) table, one row per phase, got shape {table.shape}"
+        )
     _require_all(
         table.ravel() >= 0,
         lambda k: f"n_{CHANNELS[k % len(CHANNELS)]} must be a non-negative integer no larger than {MAX_SHOTS}, "
-        f"got {raw.flat[k]} at phi={phi[k // len(CHANNELS)]}",
+        f"got {np.asarray(counts).flat[k]} at phi={phi[k // len(CHANNELS)]}",
         stacked=False,
     )
     partial = np.cumsum(table, axis=1)
@@ -320,18 +311,17 @@ def fit_interference(phi, y, sigma) -> FitResult:
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
-    phi, y, sigma = (np.asarray(a, dtype=float) for a in (phi, y, sigma))
+    phi, y = _numbers("phi", phi, float), _numbers("y", y, float)
+    sigma = _numbers("sigma", sigma, float, finite=False)
     if phi.ndim != 1 or y.shape != phi.shape or sigma.shape != phi.shape:
         raise ValueError(
             f"phi, y and sigma must be 1-D arrays of one length, got shapes {phi.shape}, {y.shape}, {sigma.shape}"
         )
     if len(phi) < 4:
         raise ValueError(f"need at least 4 points, got {len(phi)}")
-    _require_finite("phi", phi)
-    _require_finite("y", y)
-    # `> 0` refuses NaN too, so the finite check below meets only inf
+    # `> 0` refuses NaN too, so sigma is read once more for its finite check only after this one
     _require_all(sigma > 0.0, lambda i: f"sigma must be positive, got {sigma[i]}", stacked=True)
-    _require_finite("sigma", sigma, stacked=True)
+    sigma = _numbers("sigma", sigma, float, stacked=True)
     if np.abs(phi).max() > _MAX_PERIODS * np.pi:
         raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
 
@@ -348,18 +338,24 @@ def fit_interference(phi, y, sigma) -> FitResult:
     # It whitens by sigma / unit, unit the power of two at or below the smallest
     # sigma, so no weight exceeds 1; the errors are scaled back exactly by unit.
     unit = math.ldexp(1.0, math.frexp(float(sigma.min()))[1] - 1)
-    w = sigma / unit
-    u, s, vt = np.linalg.svd(x / w[:, None], full_matrices=False)
-    beta = vt.T @ ((u.T @ (y / w)) / s)
-    with np.errstate(over="ignore"):  # a covariance beyond the float range is inf
+    # a covariance or a standard error beyond the float range is inf; any other result
+    # beyond it (a y near the float limit, sigmas hundreds of decades apart) is refused
+    with np.errstate(all="ignore"):
+        w = sigma / unit
+        u, s, vt = np.linalg.svd(x / w[:, None], full_matrices=False)
+        beta = vt.T @ ((u.T @ (y / w)) / s)
         cov = (vt.T / s**2) @ vt * unit * unit
-
-    c0, ca, sa = beta
-    amplitude = float(np.hypot(ca, sa))
+        c0, ca, sa = beta
+        amplitude = float(np.hypot(ca, sa))
+        residuals = y - x @ beta
+        rms = float(np.sqrt(np.mean(residuals**2)))
+        min_value = float(c0 - amplitude)
+        grad = np.array([1.0, -ca / amplitude, -sa / amplitude] if amplitude > 0.0 else [1.0, -1.0, 0.0])
+        min_err = float(np.linalg.norm((vt @ grad) / s)) * unit
+    if not np.isfinite([c0, amplitude, rms, min_value]).all():
+        raise ValueError("the fit leaves the float range: y is too large, or sigma spans too many decades")
     # model equals c0 + amplitude*cos(2 phi + delta) with delta below
     delta = float(np.arctan2(-sa, ca)) if amplitude > 0.0 else 0.0
-    residuals = y - x @ beta
-    rms = float(np.sqrt(np.mean(residuals**2)))
 
     # minima where cos(2 phi + delta) = -1, repeating with period pi
     principal = ((np.pi - delta) / 2.0) % np.pi
@@ -368,13 +364,6 @@ def fit_interference(phi, y, sigma) -> FitResult:
     locations = [principal + k * np.pi for k in range(k_lo, k_hi + 1)]
     if not locations:
         locations = [principal]
-
-    min_value = float(c0 - amplitude)
-    if amplitude > 0.0:
-        grad = np.array([1.0, -ca / amplitude, -sa / amplitude])
-    else:
-        grad = np.array([1.0, -1.0, 0.0])
-    min_err = float(np.linalg.norm((vt @ grad) / s)) * unit
 
     n = len(locations)
     return FitResult(

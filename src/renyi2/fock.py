@@ -12,7 +12,7 @@ import importlib
 
 import numpy as np
 
-from .qstate import _require_finite
+from .qstate import _numbers
 
 # the outcome channels: the column order of every probability row and count
 # table, and the values of the network's OutcomeClass, in this order
@@ -42,10 +42,9 @@ CURVE_AMPLITUDES.setflags(write=False)
 
 def outcome_curves(phi_grid) -> np.ndarray:
     """Ideal probabilities of (cc, ca, ac, aa, other), one row per phase."""
-    phi = np.asarray(phi_grid, dtype=float).reshape(-1)
+    phi = _numbers("phi", phi_grid, float).reshape(-1)
     if phi.size == 0:
         raise ValueError("phase grid is empty")
-    _require_finite("phi", phi)
     cos2 = (np.exp(1j * phi) ** 2).real
     return CURVE_OFFSETS + cos2[:, None] * CURVE_AMPLITUDES
 
@@ -56,7 +55,7 @@ _CURVE_FIELDS = ("phi",) + tuple(f"p_{ch}" for ch in CHANNELS if ch != "other")
 
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:
     """Rows (phi, p_cc, p_ca, p_ac, p_aa) of the source state's outcome curves."""
-    phi = np.array([float(p) for p in phi_grid])
+    phi = _numbers("phi", phi_grid, float).reshape(-1)
     return list(zip(phi.tolist(), *outcome_curves(phi)[:, :-1].T.tolist()))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -32,13 +32,32 @@ def _require_all(ok, message, stacked: bool) -> None:
         raise ValueError(f"stack index {i}: {message(i)}" if stacked else message(i))
 
 
-def _require_finite(name: str, values, stacked: bool = False) -> None:
-    """ValueError naming the field unless every entry is finite: NaN passes any `x > tol`."""
-    a = np.asarray(values)
-    a = a if stacked else a[None]
-    ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-    # the first non-finite entry in C order belongs to the first bad member
-    _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
+def _numbers(name: str, values, dtype, stacked: bool = False, finite: bool = True) -> np.ndarray:
+    """values as a new array of dtype (float, complex or np.int64); ValueError naming the field unless an
+    ndarray's dtype, or each entry of a sequence as _finite judges a scalar (a bool is not a number), is of
+    that kind and, unless finite is False, every entry is finite (named by its member's index in a stack)."""
+    kinds, number = {float: ("iuf", Real), complex: ("iufc", Complex), np.int64: ("iu", Integral)}[dtype]
+    what = "integers" if dtype is np.int64 else "a number"
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.array(values, dtype=object)
+        except ValueError:  # nested arrays whose shapes do not stack
+            raise ValueError(f"{name} must be {what}, got a ragged row") from None
+        refused = sorted(t.__name__ for t in set(map(type, values.flat)) if t is bool or not issubclass(t, number))
+        if refused:  # the rows of a ragged list are entries that are lists
+            raise ValueError(f"{name} must be {what}, got a {refused[0]}")
+    elif values.dtype.kind not in kinds:
+        raise ValueError(f"{name} must be {what}, got dtype {values.dtype}")
+    try:
+        values = values.astype(dtype)
+    except OverflowError:  # a Python int beyond the dtype's range
+        raise ValueError(f"{name} must be {what} within the {np.dtype(dtype)} range") from None
+    if finite:
+        # NaN passes any `x > tol`; the first non-finite entry in C order belongs to the first bad member
+        a = values if stacked else values[None]
+        ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+        _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
+    return values
 
 
 def _finite(name: str, x) -> float:
@@ -80,10 +99,10 @@ def _dims(dim_a, dim_b) -> tuple[int, int]:
 
 
 def _stack(matrices, dim_a, dim_b, stacked: bool = True) -> tuple[np.ndarray, int, int]:
-    """(m, dim_a, dim_b): matrices as an (n, d, d) array, or (d, d) unless stacked, with
-    d = dim_a * dim_b and both dimensions read by _dims; ValueError for any other shape."""
+    """(m, dim_a, dim_b): matrices read by _numbers as a complex (n, d, d) array, or (d, d) unless
+    stacked, with d = dim_a * dim_b and both dimensions read by _dims; ValueError for any other shape."""
     dim_a, dim_b = _dims(dim_a, dim_b)
-    m = np.asarray(matrices)
+    m = _numbers("matrix", matrices, complex, stacked)
     d = dim_a * dim_b
     if m.ndim != 2 + stacked or m.shape[-2:] != (d, d):
         want = f"(n, {d}, {d})" if stacked else f"({d}, {d})"
@@ -91,19 +110,19 @@ def _stack(matrices, dim_a, dim_b, stacked: bool = True) -> tuple[np.ndarray, in
     return m, dim_a, dim_b
 
 
-def _validated(matrices, dim_a: int, dim_b: int, stacked: bool) -> np.ndarray:
-    """Read-only complex copy of one matrix, or of an (n, d, d) stack, once every
-    density-operator check has passed on every member (one batched eigvalsh)."""
-    m = _stack(np.array(matrices, dtype=complex), dim_a, dim_b, stacked)[0]
+def _validated(matrices, dim_a, dim_b, stacked: bool) -> tuple[np.ndarray, int, int]:
+    """_stack's (m, dim_a, dim_b), m made read-only once every density-operator check
+    has passed on every member (one batched eigvalsh)."""
+    m, dim_a, dim_b = _stack(matrices, dim_a, dim_b, stacked)
     s = m if stacked else m[None]
-    _require_finite("matrix", m, stacked)
-    herm = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry near the float limit fails these checks
+        herm = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace = np.abs(np.trace(s, axis1=1, axis2=2) - 1.0)
     _require_all(
         herm <= HERMITICITY_TOL,
         lambda i: f"not Hermitian: max |M - M^dag| = {herm[i]:.3e} exceeds {HERMITICITY_TOL:.0e}",
         stacked,
     )
-    trace = np.abs(np.trace(s, axis1=1, axis2=2) - 1.0)
     _require_all(
         trace <= TRACE_TOL,
         lambda i: f"trace is not 1: |Tr M - 1| = {trace[i]:.3e} exceeds {TRACE_TOL:.0e}",
@@ -116,7 +135,7 @@ def _validated(matrices, dim_a: int, dim_b: int, stacked: bool) -> np.ndarray:
         stacked,
     )
     m.setflags(write=False)
-    return m
+    return m, dim_a, dim_b
 
 
 def density_stack(matrices, dim_a: int, dim_b: int) -> np.ndarray:
@@ -126,7 +145,7 @@ def density_stack(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     read-only complex array, the input the stacked kernels take. A failure
     names the invariant and the index of the first member that breaks it.
     """
-    return _validated(matrices, *_dims(dim_a, dim_b), stacked=True)
+    return _validated(matrices, dim_a, dim_b, stacked=True)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +161,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dim_a, dim_b = _dims(self.dim_a, self.dim_b)
-        m = _validated(self.matrix, dim_a, dim_b, stacked=False)
+        m, dim_a, dim_b = _validated(self.matrix, self.dim_a, self.dim_b, stacked=False)
         self.__dict__.update(dim_a=dim_a, dim_b=dim_b, matrix=m)  # past the frozen __setattr__
 
     @property
@@ -184,14 +202,11 @@ def werner(p: float) -> DensityOperator:
 
 def werner_stack(ps) -> np.ndarray:
     """Validated (n, 4, 4) stack of the Werner states of a 1-D array of mixing parameters."""
-    ps = np.asarray(ps, dtype=float)
+    ps = _numbers("mixing parameter", ps, float, stacked=True)
     if ps.ndim != 1:
         raise ValueError(f"mixing parameters must form a 1-D array, got shape {ps.shape}")
-    _require_all(
-        (ps >= 0.0) & (ps <= 1.0),
-        lambda i: f"mixing parameter must be in [0, 1], got {ps[i]}",
-        stacked=True,
-    )
+    ok = (ps >= 0.0) & (ps <= 1.0)
+    _require_all(ok, lambda i: f"mixing parameter must be in [0, 1], got {ps[i]}", stacked=True)
     return density_stack(_werner_matrices(ps), 2, 2)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _require_all, _require_finite, _stack
+from renyi2.qstate import DensityOperator, _numbers, _require_all, _stack
 
 PROB_SUM_TOL = 1e-10
 # slack for collision probabilities that land a hair outside [0, 1]
@@ -34,7 +34,7 @@ class CollisionProbabilities:
     p_aa: float
 
     def __post_init__(self):
-        _check_quadruples(np.array([self.as_tuple()], dtype=float), stacked=False)
+        _check_quadruples(_numbers("collision probabilities", [self.as_tuple()], float), stacked=False)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_cc, self.p_ca, self.p_ac, self.p_aa)
@@ -79,9 +79,8 @@ def collision_quadruples(matrices, dim_a: int, dim_b: int) -> np.ndarray:
         np.einsum("nij,nij->n", x.conj(), x).real
         for x in (m, np.einsum("nabcb->nac", r), np.einsum("nabad->nbd", r))
     )
-    q = np.stack(
-        [(1 + a + b + j) / 4, (1 + a - b - j) / 4, (1 - a + b - j) / 4, (1 - a - b + j) / 4], axis=1
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry near the float limit fails the range check
+        q = np.stack([(1 + a + b + j) / 4, (1 + a - b - j) / 4, (1 - a + b - j) / 4, (1 - a - b + j) / 4], axis=1)
     _check_quadruples(q, stacked=True)
     return q
 
@@ -142,19 +141,22 @@ class WitnessVerdict:
 
 def _margin_significance(margin: float, s1: float, s2: float) -> float:
     # Gaussian propagation for a difference of two proportions
-    denom = np.hypot(s1, s2)
-    if denom == 0.0:
-        return 0.0 if margin == 0.0 else np.copysign(np.inf, margin)
-    return float(margin / denom)
+    # errors beyond the float range give a significance of 0, subnormal errors an infinite one
+    with np.errstate(over="ignore"):
+        denom = np.hypot(s1, s2)
+        if denom == 0.0:
+            return 0.0 if margin == 0.0 else np.copysign(np.inf, margin)
+        return float(margin / denom)
 
 
 def witness_margins(quadruples) -> np.ndarray:
     """(margin_a, margin_b) = (p_aa - p_ca, p_aa - p_ac) of each row of an (n, 4) quadruple stack;
     any other shape raises ValueError."""
-    q = np.asarray(quadruples, dtype=float)
+    q = _numbers("quadruples", quadruples, float)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"quadruples must form an (n, 4) array, got shape {q.shape}")
-    return np.stack([q[:, 3] - q[:, 1], q[:, 3] - q[:, 2]], axis=1)
+    with np.errstate(over="ignore"):  # a margin beyond the float range is inf
+        return np.stack([q[:, 3] - q[:, 1], q[:, 3] - q[:, 2]], axis=1)
 
 
 def entropic_witness(
@@ -169,10 +171,9 @@ def entropic_witness(
     margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
     sig_a = sig_b = None
     if sigma is not None:
-        s = np.asarray(sigma, dtype=float)
+        s = _numbers("sigma", sigma, float)
         if s.shape != (4,):
             raise ValueError(f"sigma must hold 4 standard errors (cc, ca, ac, aa), got shape {s.shape}")
-        _require_finite("sigma", s)
         _require_all(s >= 0.0, lambda i: f"standard errors must be non-negative, got {s[i]}", stacked=False)
         sig_a = _margin_significance(margin_a, s[3], s[1])
         sig_b = _margin_significance(margin_b, s[3], s[2])

@@ -78,6 +78,8 @@ def test_run_config_validation():
         ("background_rate", "0.1", "background_rate must be a number"),
         ("seed", float("inf"), "seed must be finite"),
         ("seed", "7", "seed must be a number"),
+        # a 0-d array has __iter__, and iterating it raised TypeError
+        ("phi_grid", np.array(0.5), "phi_grid must be a sequence of numbers"),
     ],
 )
 def test_run_config_rejects_non_finite_and_mistyped_fields(field, value, match):

@@ -1,16 +1,20 @@
+import math
 import re
 import warnings
+from numbers import Integral
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi2.chsh import max_chsh_values
-from renyi2.experiment import outcome_distributions
+from renyi2.chsh import CorrelationMatrix, max_chsh_values
+from renyi2.experiment import estimate_probabilities, fit_interference, outcome_distributions
+from renyi2.fock import coincidence_curves, outcome_curves
 from renyi2.qstate import (
     DensityOperator,
     SINGLET_VEC,
+    density_stack,
     make_density,
     partial_trace,
     ppt_min_eigenvalue,
@@ -269,8 +273,8 @@ SMALL_NUMBERS = st.one_of(
 STACK = werner_stack([0.3, 0.9])
 SURE = CollisionProbabilities(0.75, 0.0, 0.0, 0.25)
 
-# each scalar the library reads: the name its refusal gives (None where the
-# value is an entry of an array), whether it is a count, its strategy, the call
+# each scalar the library reads: the name its refusal gives, whether it is a
+# count, its strategy, the call
 LIBRARY_NUMBERS = {
     "make_density-dim_a": ("dim_a", True, NUMBERS, lambda x: make_density(np.eye(4) / 4, x, 2)),
     "make_density-dim_b": ("dim_b", True, NUMBERS, lambda x: make_density(np.eye(4) / 4, 2, x)),
@@ -282,9 +286,9 @@ LIBRARY_NUMBERS = {
     "werner-p": ("mixing parameter", False, NUMBERS, werner),
     "visibility": ("visibility", False, NUMBERS, lambda x: outcome_distributions([0.0, 1.0], x, 0.0)),
     "background_rate": ("background_rate", False, NUMBERS, lambda x: outcome_distributions([0.0, 1.0], 1.0, x)),
-    "sigma-entry": (None, False, NUMBERS, lambda x: entropic_witness(SURE, (0.01, 0.01, 0.01, x))),
-    "witness_margins": (None, False, NUMBERS, witness_margins),
-    "witness_margins-entry": (None, False, NUMBERS, lambda x: witness_margins([[0.25, 0.25, 0.25, x]])),
+    "sigma-entry": ("sigma", False, NUMBERS, lambda x: entropic_witness(SURE, (0.01, 0.01, 0.01, x))),
+    "witness_margins": ("quadruples", False, NUMBERS, witness_margins),
+    "witness_margins-entry": ("quadruples", False, NUMBERS, lambda x: witness_margins([[0.25, 0.25, 0.25, x]])),
     **{
         f"{kernel.__name__}-{name}": (name, True, NUMBERS, call)
         for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues)
@@ -310,5 +314,112 @@ def test_any_number_in_any_argument_returns_or_is_refused(case, data):
         except ValueError as exc:
             refusal = str(exc)
     # a bool is not a number, and a count is an integer
-    if name is not None and (isinstance(x, bool) or (count and not float(x).is_integer())):
+    if isinstance(x, bool) or (count and not float(x).is_integer()):
         assert refusal is not None and refusal.startswith(f"{name} must be"), (x, refusal)
+
+
+# an entry a caller may put in an array: numbers of every kind, and what is never one
+ENTRIES = st.one_of(
+    st.floats(), st.integers(-(2**70), 2**70), st.complex_numbers(), st.booleans(), st.none(), st.text(max_size=1)
+)
+# the entries of one array: all finite floats, all ints, any floats, any complex numbers, or any entries
+ARRAY_ENTRIES = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70), st.floats(), st.complex_numbers(),
+    ENTRIES,
+])
+
+
+@st.composite
+def arrays(draw, shape):
+    """(value, ragged): nested lists in the given shape, their entries drawn from one of
+    ARRAY_ENTRIES with perhaps one from ENTRIES, perhaps with one entry made a row of its
+    own or one row made longer (ragged), or the ndarray numpy makes of them."""
+    entries = draw(ARRAY_ENTRIES)
+    rows = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape):
+        rows[index] = draw(entries)
+    if draw(st.booleans()):
+        rows[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(ENTRIES)
+    rows = rows.tolist()
+    ragged = draw(st.sampled_from(["", "deeper"] + ["longer"] * (len(shape) > 1)))
+    leaf_row = rows
+    for _ in shape[1:]:
+        leaf_row = leaf_row[-1]
+    if ragged == "deeper":
+        leaf_row[-1] = [leaf_row[-1], draw(ENTRIES)]
+    elif ragged == "longer":
+        leaf_row.append(draw(ENTRIES))
+    if not ragged and draw(st.booleans()):
+        return np.array(rows), False
+    return rows, bool(ragged)
+
+
+def never_a_number(value, ragged: bool, kind) -> bool:
+    """True where no reader of kind (float, complex or int for counts) may take value: it holds a
+    bool, None, a string, a ragged row, a non-finite number, a complex number where reals are read,
+    or, in a count, a non-integer or an integer beyond int64; an ndarray of any other dtype kind."""
+    if isinstance(value, np.ndarray):
+        kinds = {float: "iuf", complex: "iufc", int: "iu"}[kind]
+        return value.dtype.kind not in kinds or not np.isfinite(value).all()
+
+    def never(x):
+        if isinstance(x, (bool, np.bool_, str)) or x is None:
+            return True
+        if kind is int:
+            return not isinstance(x, Integral) or not -(2**63) <= x < 2**63
+        if isinstance(x, complex):
+            return kind is float or not (math.isfinite(x.real) and math.isfinite(x.imag))
+        return not math.isfinite(x)
+
+    return ragged or any(map(never, np.array(value, dtype=object).ravel()))
+
+
+PHI6 = np.linspace(0.0, np.pi, 6)
+ONE_COUNT = [[1, 0, 0, 0, 0]] * 4
+
+# each array argument the library reads: the name its refusal gives, the kind of
+# number it holds, its shape, whether the call takes its entries one by one, the call
+LIBRARY_ARRAYS = {
+    "werner_stack": ("mixing parameter", float, (2,), False, werner_stack),
+    "density_stack": ("matrix", complex, (2, 4, 4), False, lambda m: density_stack(m, 2, 2)),
+    "make_density": ("matrix", complex, (4, 4), False, lambda m: make_density(m, 2, 2)),
+    **{
+        kernel.__name__: ("matrix", complex, (2, 4, 4), False, lambda m, kernel=kernel: kernel(m, 2, 2))
+        for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues)
+    },
+    "CollisionProbabilities": ("collision probabilities", float, (4,), True, lambda q: CollisionProbabilities(*q)),
+    "witness_margins": ("quadruples", float, (2, 4), False, witness_margins),
+    "entropic_witness-sigma": ("sigma", float, (4,), False, lambda s: entropic_witness(SURE, s)),
+    "CorrelationMatrix": ("correlation matrix t", float, (3, 3), False, CorrelationMatrix),
+    "outcome_curves": ("phi", float, (4,), False, outcome_curves),
+    "coincidence_curves": ("phi", float, (4,), False, coincidence_curves),
+    "estimate_probabilities-phi": (
+        "phi", float, (4,), False, lambda phi: estimate_probabilities(phi, ONE_COUNT, "number_resolving")
+    ),
+    "estimate_probabilities-counts": (
+        "counts", int, (4, 5), False, lambda counts: estimate_probabilities(PHI6[:4], counts, "number_resolving")
+    ),
+    "fit_interference-phi": ("phi", float, (6,), False, lambda phi: fit_interference(phi, np.ones(6), np.ones(6))),
+    "fit_interference-y": ("y", float, (6,), False, lambda y: fit_interference(PHI6, y, np.ones(6))),
+    "fit_interference-sigma": ("sigma", float, (6,), False, lambda sigma: fit_interference(PHI6, np.ones(6), sigma)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_ARRAYS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_array_in_any_argument_returns_or_is_refused(case, data):
+    name, kind, shape, entrywise, call = LIBRARY_ARRAYS[case]
+    value, ragged = data.draw(arrays(shape))
+    if entrywise and isinstance(value, np.ndarray):
+        value = list(value)
+    refusal = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(value)
+        except ValueError as exc:
+            refusal = str(exc)
+    # any other refusal is the field's own check (a shape, a range, an invariant)
+    if never_a_number(value, ragged, kind):
+        assert refusal is not None and re.match(rf"(stack index \d+: )?{re.escape(name)} must be ", refusal), refusal
