@@ -21,6 +21,9 @@ from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, witness_from_
 from .fock import _CURVE_FIELDS, coincidence_curves
 from .qstate import (
     DensityOperator,
+    _finite,
+    _integer,
+    _numbers,
     make_density,
     partial_trace,
     ppt_min_eigenvalues,
@@ -106,7 +109,7 @@ def _load_json(path: str, what: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     # json.load raises RecursionError on nesting deeper than the interpreter's stack
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed {what} file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"malformed {what} file {path}: it must hold a JSON object")
@@ -117,21 +120,17 @@ def _load_matrix_file(path: str) -> DensityOperator:
     data = _load_json(path, "matrix")
     try:
         dim_a, dim_b = data["dim_a"], data["dim_b"]
-        rows = [[_matrix_entry(e) for e in row] for row in data["matrix"]]
-    except (KeyError, TypeError, OverflowError) as exc:
+        # every entry is read (a number e as [e, 0], or an [re, im] pair) before make_density reads the dimensions
+        pairs = [[e if isinstance(e, list) else [e, 0] for e in row] for row in data["matrix"]]
+        table = _numbers("matrix entries", pairs, float, finite=False)
+        if table.ndim != 3 or table.shape[2] != 2:
+            raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got shape {table.shape}")
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
-    lengths = sorted({len(row) for row in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"malformed matrix file {path}: rows differ in length {lengths}")
-    return make_density(rows, dim_a, dim_b)
-
-
-def _matrix_entry(e) -> complex:
-    """A matrix-file entry: a real number, or a [re, im] pair of them; no bools."""
-    parts = e if isinstance(e, list) and len(e) == 2 else [e]
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
-        raise ValueError(f"matrix entries must be numbers or [re, im] pairs of numbers, got {e!r}")
-    return complex(*parts)
+    except ValueError as exc:
+        raise ValueError(f"malformed matrix file {path}: {exc}") from None
+    # a view, not re + 1j * im: make_density refuses a non-finite part without a numpy warning
+    return make_density(table.view(complex)[..., 0], dim_a, dim_b)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -142,8 +141,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
+    start, stop = _finite("grid start", start), _finite("grid stop", stop)
     # np.linspace warns twice and fills the grid with inf when stop - start overflows
     if not math.isfinite(stop - start):
         raise ValueError(f"grid span stop - start overflows a float, got {spec!r}")
@@ -204,9 +202,8 @@ def cmd_purity(args) -> int:
 def cmd_werner_scan(args) -> int:
     if not (0.0 <= args.pmin < args.pmax <= 1.0):
         raise ValueError(f"bad range: need 0 <= pmin < pmax <= 1, got [{args.pmin}, {args.pmax}]")
-    if not 2 <= args.steps <= MAX_GRID_POINTS:
-        raise ValueError(f"steps must be in [2, {MAX_GRID_POINTS}], got {args.steps}")
-    ps = np.linspace(args.pmin, args.pmax, args.steps)
+    steps = _integer("steps", args.steps, 2, MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS}]")
+    ps = np.linspace(args.pmin, args.pmax, steps)
     states = werner_stack(ps)
     columns = (
         ps,

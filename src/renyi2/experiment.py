@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import _finite, _integer, _numbers, _probability, _require_all
+from .qstate import _integer, _numbers, _probability, _require_all
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -85,12 +85,14 @@ class RunConfig:
         if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__") or getattr(grid, "ndim", 1) == 0:
             raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
         # one entry past the limit is enough to refuse the grid
-        grid = tuple(_finite("phi_grid entry", p) for p in islice(grid, MAX_GRID_POINTS + 1))
-        if not grid:
+        phases = _numbers("phi_grid entry", list(islice(grid, MAX_GRID_POINTS + 1)), float)
+        if phases.ndim != 1:
+            raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
+        if not len(phases):
             raise ValueError("phi_grid is empty")
-        if len(grid) > MAX_GRID_POINTS:
+        if len(phases) > MAX_GRID_POINTS:
             raise ValueError(f"phi_grid has more than {MAX_GRID_POINTS} phases")
-        object.__setattr__(self, "phi_grid", grid)
+        object.__setattr__(self, "phi_grid", tuple(phases.tolist()))  # not an array: the dataclass hashes its fields
         shots = _integer(
             "shots_per_phase", self.shots_per_phase, 1, MAX_SHOTS,
             f"a positive integer no larger than {MAX_SHOTS}",

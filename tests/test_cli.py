@@ -142,7 +142,8 @@ def test_purity_reports_bad_matrix_entries_before_bad_dimensions(capsys, tmp_pat
     f.write_text('{"dim_a": 2.5, "dim_b": 2, "matrix": [[true, 0], [0, 0]]}')
     code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
     assert code == 2 and out == ""
-    assert err.startswith("error: matrix entries must be numbers") and err.count("\n") == 1
+    assert err.startswith(f"error: malformed matrix file {f}: matrix entries must be a number, got a bool")
+    assert err.count("\n") == 1
 
 
 def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
@@ -176,16 +177,32 @@ def test_purity_rejects_non_integer_dimensions(capsys, tmp_path, dim_a, size):
         "[[1, false, 0, 0], [false, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
         '[["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]',
         "[[[0.25, 0, 99], 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]",
+        json.dumps([[[0.25 * (i == j), 0, 1] for j in range(4)] for i in range(4)]),
+        "[[[], 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]",
     ],
-    ids=["true", "false", "string", "triple"],
+    ids=["true", "false", "string", "triple", "all-triples", "empty-pair"],
 )
 def test_purity_rejects_mistyped_matrix_entries(capsys, tmp_path, matrix):
-    # each was read as a number (true as 1, "0.25" parsed, the triple cut to 0.25) and exited 0
+    # the first four were read as a number (true as 1, "0.25" parsed, the triple cut to 0.25) and exited 0
     f = tmp_path / "state.json"
     f.write_text(f'{{"dim_a": 2, "dim_b": 2, "matrix": {matrix}}}')
     code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
     assert code == 2 and out == ""
-    assert err.startswith("error: matrix entries must be numbers") and err.count("\n") == 1
+    assert err.startswith(f"error: malformed matrix file {f}: matrix entries must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "purity"])
+def test_a_file_that_is_not_utf8_is_named_in_its_refusal(capsys, tmp_path, subcommand):
+    # the decoding error used to reach the error line without the file's path
+    f = tmp_path / "input.json"
+    f.write_bytes(b'{"phi_grid": [0, 1], "shots_per_phase": 10, "note": "\xff"}')
+    argv, what = {
+        "simulate": (["simulate", "--config", str(f), "--out", str(tmp_path / "o")], "config"),
+        "purity": (["purity", "--state", f"file:{f}"], "matrix"),
+    }[subcommand]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed {what} file {f}: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 # -- werner-scan ------------------------------------------------------------------

@@ -80,6 +80,8 @@ def test_run_config_validation():
         ("seed", "7", "seed must be a number"),
         # a 0-d array has __iter__, and iterating it raised TypeError
         ("phi_grid", np.array(0.5), "phi_grid must be a sequence of numbers"),
+        # a grid of rows reads as a 2-D array
+        ("phi_grid", [[0.0, 1.0]], "phi_grid must be a sequence of numbers"),
     ],
 )
 def test_run_config_rejects_non_finite_and_mistyped_fields(field, value, match):

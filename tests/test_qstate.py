@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi2.chsh import CorrelationMatrix, max_chsh_values
-from renyi2.experiment import estimate_probabilities, fit_interference, outcome_distributions
+from renyi2.experiment import RunConfig, estimate_probabilities, fit_interference, outcome_distributions
 from renyi2.fock import coincidence_curves, outcome_curves
 from renyi2.qstate import (
     DensityOperator,
@@ -399,6 +399,7 @@ LIBRARY_ARRAYS = {
     "estimate_probabilities-counts": (
         "counts", int, (4, 5), False, lambda counts: estimate_probabilities(PHI6[:4], counts, "number_resolving")
     ),
+    "RunConfig-phi_grid": ("phi_grid entry", float, (4,), True, lambda grid: RunConfig(grid, 1)),
     "fit_interference-phi": ("phi", float, (6,), False, lambda phi: fit_interference(phi, np.ones(6), np.ones(6))),
     "fit_interference-y": ("y", float, (6,), False, lambda y: fit_interference(PHI6, y, np.ones(6))),
     "fit_interference-sigma": ("sigma", float, (6,), False, lambda sigma: fit_interference(PHI6, np.ones(6), sigma)),
