@@ -11,8 +11,7 @@ them and leaves the environment, `sys.modules` and the collector alone.
 - The cyclic garbage collector. The import graph is ~22k long-lived objects
   that the collector would traverse dozens of times during import and again,
   in full passes, at interpreter shutdown. It is off during the import, whose
-  objects are then frozen out of its reach; it is on again for the run, and
-  whatever the run leaves is frozen before shutdown.
+  objects are then frozen out of its reach; it is on again for the run.
 - OpenSSL. numpy.random imports `secrets`, hence `hmac` and `hashlib`, which
   would load OpenSSL's libcrypto through `_hashlib`. renyi2 hashes nothing, so
   `_hashlib` is blocked in `sys.modules` (unless already loaded) and those
@@ -32,10 +31,7 @@ def main(argv=None) -> int:
 
     gc.freeze()
     gc.enable()
-    try:
-        return cli_main(argv)
-    finally:
-        gc.freeze()
+    return cli_main(argv)
 
 
 if __name__ == "__main__":

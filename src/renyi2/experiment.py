@@ -150,8 +150,9 @@ def simulate_counts(config: RunConfig) -> np.ndarray:
 def _phase_generators(seed: int, n: int):
     """The n Generators default_rng([seed, k]), k = 0 .. n-1, seeded from one
     vectorized SeedSequence pass instead of one SeedSequence per phase."""
-    # numpy.random costs ~14 ms to import and, outside the CLI entry (which blocks
-    # _hashlib), ~3.4 MB of OpenSSL's libcrypto through secrets: only a simulation pays it
+    # numpy.random takes ~5 ms to import in a fresh process that has numpy (numpy 2.4,
+    # Python 3.11, 2-core VM, _hashlib blocked as the CLI entry does; ~6 ms and ~3.3 MB
+    # of OpenSSL's libcrypto through secrets otherwise): only a simulation pays it
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -314,16 +315,14 @@ def fit_interference(phi, y, sigma) -> FitResult:
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
     phi, y = _numbers("phi", phi, float), _numbers("y", y, float)
-    sigma = _numbers("sigma", sigma, float, finite=False)
+    sigma = _numbers("sigma", sigma, float, stacked=True)
     if phi.ndim != 1 or y.shape != phi.shape or sigma.shape != phi.shape:
         raise ValueError(
             f"phi, y and sigma must be 1-D arrays of one length, got shapes {phi.shape}, {y.shape}, {sigma.shape}"
         )
     if len(phi) < 4:
         raise ValueError(f"need at least 4 points, got {len(phi)}")
-    # `> 0` refuses NaN too, so sigma is read once more for its finite check only after this one
     _require_all(sigma > 0.0, lambda i: f"sigma must be positive, got {sigma[i]}", stacked=True)
-    sigma = _numbers("sigma", sigma, float, stacked=True)
     if np.abs(phi).max() > _MAX_PERIODS * np.pi:
         raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
 

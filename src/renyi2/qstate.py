@@ -32,10 +32,10 @@ def _require_all(ok, message, stacked: bool) -> None:
         raise ValueError(f"stack index {i}: {message(i)}" if stacked else message(i))
 
 
-def _numbers(name: str, values, dtype, stacked: bool = False, finite: bool = True) -> np.ndarray:
+def _numbers(name: str, values, dtype, stacked: bool = False) -> np.ndarray:
     """values as a new array of dtype (float, complex or np.int64); ValueError naming the field unless an
     ndarray's dtype, or each entry of a sequence as _finite judges a scalar (a bool is not a number), is of
-    that kind and, unless finite is False, every entry is finite (named by its member's index in a stack)."""
+    that kind, the rows of a sequence stack, and every entry is finite (named by its member's index in a stack)."""
     kinds, number = {float: ("iuf", Real), complex: ("iufc", Complex), np.int64: ("iu", Integral)}[dtype]
     what = "integers" if dtype is np.int64 else "a number"
     if not isinstance(values, np.ndarray):
@@ -43,20 +43,21 @@ def _numbers(name: str, values, dtype, stacked: bool = False, finite: bool = Tru
             values = np.array(values, dtype=object)
         except ValueError:  # nested arrays whose shapes do not stack
             raise ValueError(f"{name} must be {what}, got a ragged row") from None
-        refused = sorted(t.__name__ for t in set(map(type, values.flat)) if t is bool or not issubclass(t, number))
-        if refused:  # the rows of a ragged list are entries that are lists
-            raise ValueError(f"{name} must be {what}, got a {refused[0]}")
+        types = set(map(type, values.flat))
+        refused = sorted(t.__name__ for t in types if t is bool or not issubclass(t, number))
+        if refused:  # rows that do not stack stay whole, as entries that are lists, tuples or ndarrays
+            ragged = any(issubclass(t, (list, tuple, np.ndarray)) for t in types)
+            raise ValueError(f"{name} must be {what}, got a {'ragged row' if ragged else refused[0]}")
     elif values.dtype.kind not in kinds:
         raise ValueError(f"{name} must be {what}, got dtype {values.dtype}")
     try:
         values = values.astype(dtype)
     except OverflowError:  # a Python int beyond the dtype's range
         raise ValueError(f"{name} must be {what} within the {np.dtype(dtype)} range") from None
-    if finite:
-        # NaN passes any `x > tol`; the first non-finite entry in C order belongs to the first bad member
-        a = values if stacked else values[None]
-        ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
-        _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
+    # NaN passes any `x > tol`; the first non-finite entry in C order belongs to the first bad member
+    a = values if stacked else values[None]
+    ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
     return values
 
 

@@ -109,23 +109,27 @@ def test_purity_rejects_unknown_family(capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, detail",
     [
-        "{not json",
-        json.dumps({"dim_a": 2, "matrix": [[1]]}),
-        # numpy's "inhomogeneous shape" ValueError used to escape, without the path
-        json.dumps({"dim_a": 2, "dim_b": 2, "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0]]}),
+        ("{not json", ""),
+        (json.dumps({"dim_a": 2, "matrix": [[1]]}), ""),
+        # numpy's "inhomogeneous shape" ValueError used to escape, without the path;
+        # then the short row was named as "matrix entries must be a number, got a list"
+        (
+            json.dumps({"dim_a": 2, "dim_b": 2, "matrix": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0]]}),
+            "matrix entries must be a number, got a ragged row\n",
+        ),
         # a TypeError about list indices used to escape
-        "[1, 2]",
+        ("[1, 2]", ""),
     ],
     ids=["not-json", "no-dim-b", "ragged-rows", "top-level-list"],
 )
-def test_purity_rejects_malformed_matrix_file(capsys, tmp_path, text):
+def test_purity_rejects_malformed_matrix_file(capsys, tmp_path, text, detail):
     f = tmp_path / "bad.json"
     f.write_text(text)
     code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
     assert code == 2 and out == ""
-    assert err.startswith(f"error: malformed matrix file {f}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: malformed matrix file {f}: {detail}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -152,7 +156,7 @@ def test_purity_rejects_non_finite_matrix_file(capsys, tmp_path):
     f.write_text('{"dim_a": 2, "dim_b": 2, "matrix": [[NaN,0,0,0],[0,0.5,0,0],[0,0,0.5,0],[0,0,0,0]]}')
     code, out, err = run_cli(capsys, "purity", "--state", f"file:{f}")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "matrix must be finite" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "matrix entries must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -918,7 +922,7 @@ def test_entry_keeps_the_users_blas_setting():
 def test_entry_freezes_the_collector_and_runs_numpy_random_without_openssl():
     probe = entry_probe()
     assert probe["codes"] == [0, 0] and probe["numpy_random"]
-    # the collector runs again after the import, and the shutdown passes find everything frozen
+    # the collector runs again after the import, and the shutdown passes find the import graph frozen
     assert probe["gc_enabled"] and probe["frozen"]
     # hashlib still hashes, through CPython's built-in sha256
     assert probe["hashlib_blocked"] and probe["sha256"] == RENYI2_SHA256

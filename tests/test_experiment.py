@@ -425,7 +425,7 @@ def test_fit_input_validation():
         fit_interference([0.0, 0.8, 1.6], [1.0] * 3, [0.1] * 3)
     with pytest.raises(ValueError, match="positive"):
         fit_interference(GRID25[:5], [1.0] * 5, [0.0] * 5)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="finite"):
         fit_interference(GRID25[:5], [1.0] * 5, [np.nan] * 5)
     with pytest.raises(ValueError, match="condition"):
         fit_interference([0.3] * 5, [1.0] * 5, [0.1] * 5)
@@ -502,7 +502,7 @@ def test_fit_rejects_infinite_sigma(bad):
     [
         (0.0, "^stack index 2: sigma must be positive, got 0.0$"),
         (-0.1, "^stack index 2: sigma must be positive, got -0.1$"),
-        (np.nan, "^stack index 2: sigma must be positive, got nan$"),
+        (np.nan, "^stack index 2: sigma must be finite, got nan$"),
         (np.inf, "^stack index 2: sigma must be finite, got inf$"),
     ],
     ids=["zero", "negative", "nan", "inf"],

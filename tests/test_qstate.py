@@ -14,6 +14,7 @@ from renyi2.fock import coincidence_curves, outcome_curves
 from renyi2.qstate import (
     DensityOperator,
     SINGLET_VEC,
+    _numbers,
     density_stack,
     make_density,
     partial_trace,
@@ -261,6 +262,24 @@ def test_integral_numbers_read_as_ints():
     assert abs(purity(random_density(2, 2, np.random.default_rng(0), components=1.0)) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[0.5, 0], [0]],
+        [np.array([1.0, 2.0]), np.array([1.0])],
+        [[1, 2], [3, [4]]],
+        [np.zeros(2), np.zeros((2, 2))],
+    ],
+    ids=["short-row", "short-array", "deeper-entry", "deeper-array"],
+)
+@pytest.mark.parametrize("dtype", [float, complex, np.int64])
+def test_rows_that_do_not_stack_are_refused_as_ragged(values, dtype):
+    # the first three were named by their row's type, "got a list" or "got a ndarray"
+    what = "integers" if dtype is np.int64 else "a number"
+    with pytest.raises(ValueError, match=f"^matrix must be {what}, got a ragged row$"):
+        _numbers("matrix", values, dtype)
+
+
 # any scalar a caller may pass: bools, ints beyond every C integer type, every
 # float with NaN and the infinities
 NUMBERS = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.floats())
@@ -424,3 +443,6 @@ def test_any_array_in_any_argument_returns_or_is_refused(case, data):
     # any other refusal is the field's own check (a shape, a range, an invariant)
     if never_a_number(value, ragged, kind):
         assert refusal is not None and re.match(rf"(stack index \d+: )?{re.escape(name)} must be ", refusal), refusal
+    # rows that do not stack are named as such, whatever else their entries hold
+    if ragged:
+        assert refusal.endswith(" got a ragged row"), refusal
