@@ -8,6 +8,7 @@ keys) so identical data is byte-identical on disk.
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -16,10 +17,8 @@ from itertools import chain
 
 import numpy as np
 
-from .chsh import max_chsh_values
-from .experiment import _COUNT_FIELDS, MAX_GRID_POINTS, RunConfig, witness_from_run
-from .fock import _CURVE_FIELDS, coincidence_curves
 from .qstate import (
+    MAX_GRID_POINTS,
     DensityOperator,
     _finite,
     _integer,
@@ -39,6 +38,35 @@ from .two_copy import (
     purities_from_probabilities,
     witness_margins,
 )
+
+
+def _lazy(name: str):
+    """renyi2.<name>, registered in sys.modules and bound on the package, whose body runs on its first
+    attribute lookup (the importlib recipe, with importlib.util.LazyLoader); a layer already imported
+    is returned as it is, so the process never holds two copies of it.
+
+    Imports inside the commands would do the same with less machinery, but the benchmark's tracer
+    reads every layer from sys.modules right after `import renyi2.cli`. ROADMAP item 2 replaces the
+    tracer, and these lazy modules with imports inside the commands.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the layers only some commands call: `purity` runs none of them, `werner-scan`
+# runs chsh, `phase-scan` fock, and `simulate` experiment and fock
+chsh = _lazy("chsh")
+experiment = _lazy("experiment")
+fock = _lazy("fock")
+
 
 def _fmt(x: float) -> str:
     return np.format_float_scientific(float(x), unique=True)
@@ -77,7 +105,7 @@ def _report_json(report: dict) -> str:
     """_canonical_json(report), with the count-row tuples written by _table as objects."""
     text = _canonical_json({**report, "counts": []})
     head, _, tail = text.partition('\n  "counts": [],\n')
-    counts = _table(_COUNT_FIELDS, report["counts"], "json").rstrip().replace("\n", "\n  ")
+    counts = _table(experiment._COUNT_FIELDS, report["counts"], "json").rstrip().replace("\n", "\n  ")
     return f'{head}\n  "counts": {counts},\n{tail}'
 
 
@@ -209,7 +237,7 @@ def cmd_werner_scan(args) -> int:
         ps,
         ppt_min_eigenvalues(states, 2, 2),
         witness_margins(collision_quadruples(states, 2, 2))[:, 0],
-        max_chsh_values(states, 2, 2),
+        chsh.max_chsh_values(states, 2, 2),
     )
     keys = ("p", "ppt_min_eig", "entropic_margin", "max_chsh")
     _emit(_table(keys, zip(*(c.tolist() for c in columns)), args.format), args.out)
@@ -218,13 +246,13 @@ def cmd_werner_scan(args) -> int:
 
 def cmd_phase_scan(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi, 25)
-    _emit(_table(_CURVE_FIELDS, coincidence_curves(grid), args.format), args.out)
+    _emit(_table(fock._CURVE_FIELDS, fock.coincidence_curves(grid), args.format), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.config, "config")
-    fields = dataclasses.fields(RunConfig)
+    fields = dataclasses.fields(experiment.RunConfig)
     unknown = sorted(set(raw).difference(f.name for f in fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
@@ -233,12 +261,12 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"config is missing required field(s): {', '.join(missing)}")
     if args.seed is not None:
         raw.update(seed=args.seed)
-    config = RunConfig(**raw)
+    config = experiment.RunConfig(**raw)
 
-    report = witness_from_run(config)
+    report = experiment.witness_from_run(config)
 
     os.makedirs(args.out, exist_ok=True)
-    _emit(_table(_COUNT_FIELDS, report["counts"], "csv"), os.path.join(args.out, "counts.csv"))
+    _emit(_table(experiment._COUNT_FIELDS, report["counts"], "csv"), os.path.join(args.out, "counts.csv"))
     _emit(_report_json(report), os.path.join(args.out, "report.json"))
 
     w = report["witness"]
@@ -289,12 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_stdout() -> None:
+    """Flush stdout; if it cannot be written, point its file descriptor at os.devnull (what the io docs
+    advise for a broken pipe), so the interpreter's own flush at exit has nothing left to fail on."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a buffered stdout reports a write error here, not at interpreter exit
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _release_stdout()
         return 2
 
 

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import _integer, _numbers, _probability, _require_all
+from .qstate import MAX_GRID_POINTS, _integer, _numbers, _probability, _require_all
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -44,10 +44,6 @@ DETECTOR_MODELS = tuple(_CORRECTION_FACTORS)
 
 # numpy's multinomial takes the shot count as a C long
 MAX_SHOTS = 2**63 - 1
-
-# most points in a phase grid, a Werner scan or a phase scan; it also keeps
-# every phase index within the one uint32 word _phase_states gives it
-MAX_GRID_POINTS = 10**6
 
 # SeedSequence's hash-mix constants (numpy/random/bit_generator.pyx); numpy's
 # stream-compatibility policy freezes them

@@ -20,6 +20,9 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 # bounds of a local dimension or a component count: numpy sizes an axis with a C long
 _COUNT = (1, 2**63 - 1, "a positive integer below 2**63")
+# most points in a phase grid, a Werner scan or a phase scan; it also keeps
+# every phase index within the one uint32 word experiment._phase_states gives it
+MAX_GRID_POINTS = 10**6
 
 
 def _require_all(ok, message, stacked: bool) -> None:
@@ -45,8 +48,8 @@ def _numbers(name: str, values, dtype, stacked: bool = False) -> np.ndarray:
             raise ValueError(f"{name} must be {what}, got a ragged row") from None
         types = set(map(type, values.flat))
         refused = sorted(t.__name__ for t in types if t is bool or not issubclass(t, number))
-        if refused:  # rows that do not stack stay whole, as entries that are lists, tuples or ndarrays
-            ragged = any(issubclass(t, (list, tuple, np.ndarray)) for t in types)
+        if refused:  # rows that do not stack stay whole, as entries that are lists, tuples or ndarrays of ndim >= 1
+            ragged = any(isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim > 0 for v in values.flat)
             raise ValueError(f"{name} must be {what}, got a {'ragged row' if ragged else refused[0]}")
     elif values.dtype.kind not in kinds:
         raise ValueError(f"{name} must be {what}, got dtype {values.dtype}")

@@ -819,15 +819,16 @@ def test_table_json_refuses_non_finite_cells(table, bad, data):
 # -- entry point -------------------------------------------------------------------
 
 
-def run_fresh(*argv, env=None) -> subprocess.CompletedProcess:
+def run_fresh(*argv, env=None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """`python *argv` in a fresh interpreter that imports this checkout's renyi2.
 
     env updates the inherited environment; a None value removes that variable.
+    stdout is captured unless another target is given.
     """
     src = str(Path(cli.__file__).parents[1])
     environ = {**os.environ, "PYTHONPATH": src, **(env or {})}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True,
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
         env={k: v for k, v in environ.items() if v is not None},
     )
 
@@ -849,6 +850,82 @@ def test_cli_import_loads_every_layer():
     # the benchmark's tracer reads each layer from sys.modules after `import renyi2.cli`
     out = run_fresh("-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('renyi2.')))").stdout
     assert out == f"{sorted(LAYERS + ['renyi2.cli'])}\n"
+
+
+# one name each of the layers cli imports lazily: a layer has run once its own
+# __dict__ holds the name (object.__getattribute__ reads it without loading the layer)
+LAZY_LAYERS = {"chsh": "max_chsh_values", "experiment": "RunConfig", "fock": "outcome_curves"}
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["purity", "--state", "singlet"], []),
+        (["werner-scan", "--steps", "5"], ["chsh"]),
+        (["phase-scan"], ["fock"]),
+        (["simulate", "--config", "{config}", "--out", "{out}"], ["experiment", "fock"]),
+    ],
+    ids=["purity", "werner-scan", "phase-scan", "simulate"],
+)
+def test_a_command_runs_only_the_layers_it_calls(tmp_path, argv, ran):
+    config = write_config(tmp_path / "run.json", shots_per_phase=1000)
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    code = f"""
+import contextlib, io, json, sys
+import renyi2.__main__ as entry
+with contextlib.redirect_stdout(io.StringIO()):
+    status = entry.main({argv!r})
+layers = {{layer: sys.modules.get(f"renyi2.{{layer}}") for layer in {LAZY_LAYERS!r}}}
+ran = sorted(layer for layer, m in layers.items()
+             if m is not None and {LAZY_LAYERS!r}[layer] in object.__getattribute__(m, "__dict__"))
+print(json.dumps([status, ran, sorted(m for m in sys.modules if m.startswith("renyi2."))]))
+"""
+    proc = run_fresh("-c", code)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, ran, sorted(LAYERS + ["renyi2.__main__", "renyi2.cli"])]
+
+
+def test_a_layer_imported_before_or_after_the_cli_is_one_module_object():
+    code = """
+import json, sys
+import renyi2.experiment as before
+import renyi2.cli
+import renyi2
+# bound on the package by renyi2.cli, as an import binds a submodule
+resolved = renyi2.chsh.max_chsh_values.__module__
+import renyi2.chsh as after
+from renyi2.fock import outcome_curves
+same = [before is sys.modules["renyi2.experiment"] is renyi2.cli.experiment is renyi2.experiment,
+        after is sys.modules["renyi2.chsh"] is renyi2.cli.chsh is renyi2.chsh,
+        outcome_curves is renyi2.cli.fock.outcome_curves is renyi2.fock.outcome_curves,
+        renyi2.cli.experiment.RunConfig is renyi2.RunConfig]
+print(json.dumps([resolved, same, [type(m).__name__ for m in (before, after, renyi2.fock)]]))
+"""
+    proc = run_fresh("-c", code)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == ["renyi2.chsh", [True] * 4, ["module"] * 3]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="/dev/full is absent, so no write can fail")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["purity", "--state", "singlet"],
+        ["werner-scan", "--steps", "1001"],
+        ["simulate", "--config", "{config}", "--out", "{out}"],
+    ],
+    ids=["purity", "werner-scan", "simulate"],
+)
+def test_a_stdout_that_cannot_be_written_is_one_error_line(tmp_path, argv, buffered):
+    # buffered, purity said "Exception ignored ... OSError: [Errno 28]" at interpreter exit and exited 120
+    config = write_config(tmp_path / "run.json", shots_per_phase=1000)
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = run_fresh("-m", "renyi2", *argv, env={"PYTHONUNBUFFERED": None if buffered else "1"}, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "No space left on device" in proc.stderr
 
 
 def test_every_export_resolves_to_its_home_module_object():

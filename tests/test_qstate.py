@@ -280,6 +280,16 @@ def test_rows_that_do_not_stack_are_refused_as_ragged(values, dtype):
         _numbers("matrix", values, dtype)
 
 
+@pytest.mark.parametrize("dtype", [float, complex, np.int64])
+def test_a_0d_array_entry_is_not_a_row(dtype):
+    # it was refused as "got a ragged row"; beside a 1-d array it is still ragged
+    what = "integers" if dtype is np.int64 else "a number"
+    with pytest.raises(ValueError, match=f"^phi must be {what}, got a ndarray$"):
+        _numbers("phi", [np.array(1), 2], dtype)
+    with pytest.raises(ValueError, match=f"^phi must be {what}, got a ragged row$"):
+        _numbers("phi", [np.array(1), np.array([2])], dtype)
+
+
 # any scalar a caller may pass: bools, ints beyond every C integer type, every
 # float with NaN and the infinities
 NUMBERS = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.floats())
