@@ -9,9 +9,10 @@ with two polarizations each. Occupation vectors are 8-tuples in the flat order
 (1H, 1V, 2H, 2V, 3H, 3V, 4H, 4V). The source emits pairs into the spatial
 pairs (1,3) and (2,4); the analysis beam splitters mix (1,2) and (3,4).
 
-Pair operators, with a_m the annihilator of flat mode m:
+One port-pair operator, with a_iH the annihilator of port i's H mode, gives
+both crystals' pairs:
 
-    K = a_1H a_3V - a_1V a_3H        L = a_2H a_4V - a_2V a_4H
+    P_ij = a_iH a_jV - a_iV a_jH,        K = P_13,        L = P_24
 
 K^dag L^dag |vac> is the two-singlet emission; K^dag^2 and L^dag^2 are the
 single-crystal double pairs. The four-photon source state is
@@ -66,10 +67,6 @@ class ModeIndex:
     @property
     def flat(self) -> int:
         return 2 * (self.spatial - 1) + self.polarization.value
-
-
-# flat indices used by the pair operators
-_1H, _1V, _2H, _2V, _3H, _3V, _4H, _4V = range(8)
 
 
 # the outcome classes, one per channel of renyi2.fock.CHANNELS, in that order
@@ -139,7 +136,7 @@ def apply_creation(state: FockState, mode: ModeIndex) -> FockState:
     """Creation operator on one mode; returns an unnormalized state.
 
     Raises when any resulting occupation would exceed the cap; otherwise it
-    is the truncating `_create` below, which then drops nothing.
+    is the truncating `_shift` below, which then drops nothing.
     """
     idx = mode.flat
     for occ in state.amplitudes:
@@ -147,7 +144,7 @@ def apply_creation(state: FockState, mode: ModeIndex) -> FockState:
             raise ValueError(
                 f"photon cap {state.cap} exceeded: creation on mode {mode} of {occ}"
             )
-    return FockState(_create(state.amplitudes, idx, state.cap), normalized=False, cap=state.cap)
+    return FockState(_shift(state.amplitudes, idx, 1, state.cap), normalized=False, cap=state.cap)
 
 
 # -- raw-dict operator algebra (internal) ------------------------------------
@@ -157,25 +154,16 @@ def apply_creation(state: FockState, mode: ModeIndex) -> FockState:
 # ones whose four-photon sector truncation cannot touch.
 
 
-def _create(amps: dict, idx: int, cap: int) -> dict:
+def _shift(amps: dict, idx: int, step: int, cap: int) -> dict:
+    """a^dag (step 1) or a (step -1) on flat mode idx, dropping kets taken
+    below 0 or above the cap; the factor is sqrt of the larger occupation."""
     out: dict[tuple[int, ...], complex] = {}
     for occ, a in amps.items():
         n = occ[idx]
-        if n + 1 > cap:
+        if not 0 <= n + step <= cap:
             continue
-        key = occ[:idx] + (n + 1,) + occ[idx + 1 :]
-        out[key] = out.get(key, 0j) + a * sqrt(n + 1)
-    return out
-
-
-def _annihilate(amps: dict, idx: int) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, a in amps.items():
-        n = occ[idx]
-        if n == 0:
-            continue
-        key = occ[:idx] + (n - 1,) + occ[idx + 1 :]
-        out[key] = out.get(key, 0j) + a * sqrt(n)
+        key = occ[:idx] + (n + step,) + occ[idx + 1 :]
+        out[key] = out.get(key, 0j) + a * sqrt(max(n, n + step))
     return out
 
 
@@ -184,41 +172,30 @@ def _acc(dst: dict, src: dict, scale: complex = 1.0) -> None:
         dst[k] = dst.get(k, 0j) + scale * v
 
 
-def _kdag(amps: dict, cap: int) -> dict:
+def _pair(amps: dict, ports: tuple[int, int], step: int, cap: int) -> dict:
+    """P_ij = a_iH a_jV - a_iV a_jH on spatial ports (i, j), or P_ij^dag for step 1."""
+    i, j = (2 * (s - 1) for s in ports)
     out: dict[tuple[int, ...], complex] = {}
-    _acc(out, _create(_create(amps, _1H, cap), _3V, cap))
-    _acc(out, _create(_create(amps, _1V, cap), _3H, cap), -1.0)
+    _acc(out, _shift(_shift(amps, i, step, cap), j + 1, step, cap))
+    _acc(out, _shift(_shift(amps, i + 1, step, cap), j, step, cap), -1.0)
     return out
+
+
+def _kdag(amps: dict, cap: int) -> dict:
+    return _pair(amps, (1, 3), 1, cap)
 
 
 def _ldag(amps: dict, cap: int) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    _acc(out, _create(_create(amps, _2H, cap), _4V, cap))
-    _acc(out, _create(_create(amps, _2V, cap), _4H, cap), -1.0)
-    return out
-
-
-def _k(amps: dict) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    _acc(out, _annihilate(_annihilate(amps, _1H), _3V))
-    _acc(out, _annihilate(_annihilate(amps, _1V), _3H), -1.0)
-    return out
-
-
-def _l(amps: dict) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    _acc(out, _annihilate(_annihilate(amps, _2H), _4V))
-    _acc(out, _annihilate(_annihilate(amps, _2V), _4H), -1.0)
-    return out
+    return _pair(amps, (2, 4), 1, cap)
 
 
 def _apply_hamiltonian(amps: dict, phi: float, cap: int) -> dict:
     # H = (K + K^dag) + (L e^{-i phi} + L^dag e^{i phi}), coupling folded out
     out: dict[tuple[int, ...], complex] = {}
-    _acc(out, _kdag(amps, cap))
-    _acc(out, _k(amps))
-    _acc(out, _ldag(amps, cap), cmath.exp(1j * phi))
-    _acc(out, _l(amps), cmath.exp(-1j * phi))
+    _acc(out, _pair(amps, (1, 3), 1, cap))
+    _acc(out, _pair(amps, (1, 3), -1, cap))
+    _acc(out, _pair(amps, (2, 4), 1, cap), cmath.exp(1j * phi))
+    _acc(out, _pair(amps, (2, 4), -1, cap), cmath.exp(-1j * phi))
     return out
 
 
@@ -297,18 +274,15 @@ def _bs_pair(amps: dict, ia: int, ib: int, m: np.ndarray) -> dict:
             out[occ] = out.get(occ, 0j) + amp
             continue
         base = amp / sqrt(factorial(n1) * factorial(n2))
+        ket = list(occ)
         for j in range(n1 + 1):
             cj = comb(n1, j) * m[0, 0] ** j * m[0, 1] ** (n1 - j)
             for k in range(n2 + 1):
                 ck = comb(n2, k) * m[1, 0] ** k * m[1, 1] ** (n2 - k)
-                p = j + k
-                q = n1 + n2 - p
-                lo, hi = (ia, ib) if ia < ib else (ib, ia)
-                pv, qv = (p, q) if ia < ib else (q, p)
-                key = occ[:lo] + (pv,) + occ[lo + 1 : hi] + (qv,) + occ[hi + 1 :]
-                out[key] = out.get(key, 0j) + base * cj * ck * sqrt(
-                    factorial(p) * factorial(q)
-                )
+                p, q = j + k, n1 + n2 - j - k
+                ket[ia], ket[ib] = p, q
+                key = tuple(ket)
+                out[key] = out.get(key, 0j) + base * cj * ck * sqrt(factorial(p) * factorial(q))
     return out
 
 
@@ -322,16 +296,14 @@ def beam_splitter(
     """
     if spatial_a == spatial_b:
         raise ValueError(f"beam splitter needs two distinct spatial modes, got {spatial_a}")
-    for s in (spatial_a, spatial_b):
-        if s not in (1, 2, 3, 4):
-            raise ValueError(f"spatial index must be 1..4, got {s}")
+    pairs = [(ModeIndex(spatial_a, pol).flat, ModeIndex(spatial_b, pol).flat) for pol in Polarization]
     try:
         m = _BS_MATRICES[convention]
     except KeyError:
         raise ValueError(f"unknown beam-splitter convention {convention!r}") from None
-    ha, hb = 2 * (spatial_a - 1), 2 * (spatial_b - 1)
-    amps = _bs_pair(state.amplitudes, ha, hb, m)          # H branch
-    amps = _bs_pair(amps, ha + 1, hb + 1, m)              # V branch
+    amps = state.amplitudes
+    for ia, ib in pairs:
+        amps = _bs_pair(amps, ia, ib, m)
     return FockState(amps, normalized=state.normalized, cap=state.cap)
 
 
@@ -401,30 +373,16 @@ def conditional_state_after_anticoalescence(state: FockState, side: str) -> Dens
         raise ValueError(f'side must be "A" or "B", got {side!r}')
     if not state.normalized:
         raise ValueError("conditioning needs a normalized state")
+    # amplitudes of the kets with one photon per port, indexed by each port's
+    # polarization bit (H=0, V=1, which is its V count); psi is side A x side B
     after = beam_splitter(beam_splitter(state, 1, 2), 3, 4)
-    # each surviving ket has exactly one photon per spatial port; record its
-    # polarization bit (H=0, V=1) per port
-    bits_amp: dict[tuple[int, int, int, int], complex] = {}
+    psi = np.zeros((2, 2, 2, 2), dtype=complex)
     for occ, amp in after.amplitudes.items():
-        pols = []
-        for s in range(4):
-            h, v = occ[2 * s], occ[2 * s + 1]
-            if h + v != 1:
-                pols = None
-                break
-            pols.append(0 if h == 1 else 1)
-        if pols is None:
-            continue
-        key = tuple(pols)
-        bits_amp[key] = bits_amp.get(key, 0j) + amp
-    traced, kept = ((0, 1), (2, 3)) if side == "A" else ((2, 3), (0, 1))
-    rho = np.zeros((4, 4), dtype=complex)
-    for b1, a1 in bits_amp.items():
-        for b2, a2 in bits_amp.items():
-            if b1[traced[0]] == b2[traced[0]] and b1[traced[1]] == b2[traced[1]]:
-                r = 2 * b1[kept[0]] + b1[kept[1]]
-                c = 2 * b2[kept[0]] + b2[kept[1]]
-                rho[r, c] += a1 * a2.conjugate()
+        if all(h + v == 1 for h, v in zip(occ[::2], occ[1::2])):
+            psi[occ[1::2]] = amp
+    psi = psi.reshape(4, 4)
+    far = psi.T if side == "A" else psi
+    rho = far @ far.conj().T
     prob = float(np.trace(rho).real)
     if prob < 1e-12:
         raise ValueError("conditioning event has zero probability")

@@ -275,10 +275,19 @@ def cmd_simulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are one `error: ...` line, exit 2."""
+    """An ArgumentParser whose usage errors are one `error: ...` line, exit 2, and whose
+    help, when stdout cannot be written, raises the OSError that argparse would swallow."""
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # a buffered help fails here, not at interpreter exit
+        super().exit(status, message)
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +340,8 @@ def _release_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a buffered stdout reports a write error here, not at interpreter exit
         return status

@@ -62,9 +62,8 @@ def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float
 # every name renyi2._fock_network defines; static, so that looking up any
 # other name (hasattr(fock, "cache_clear"), say) imports nothing
 _NETWORK = (
-    "NORM_TOL", "DEFAULT_CAP", "N_MODES", "_VACUUM_KEY", "Polarization", "ModeIndex",
-    "_1H", "_1V", "_2H", "_2V", "_3H", "_3V", "_4H", "_4V", "OutcomeClass", "FockState", "vacuum",
-    "apply_creation", "_create", "_annihilate", "_acc", "_kdag", "_ldag", "_k", "_l", "_apply_hamiltonian",
+    "NORM_TOL", "DEFAULT_CAP", "N_MODES", "_VACUUM_KEY", "Polarization", "ModeIndex", "OutcomeClass",
+    "FockState", "vacuum", "apply_creation", "_shift", "_acc", "_pair", "_kdag", "_ldag", "_apply_hamiltonian",
     "spdc_four_photon_state", "hamiltonian_expansion", "hamiltonian_four_photon_term", "_BS_MATRICES",
     "_bs_pair", "beam_splitter", "classify_outcome", "CoincidenceRecord", "coincidence_probabilities",
     "conditional_state_after_anticoalescence",

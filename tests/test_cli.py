@@ -914,11 +914,13 @@ print(json.dumps([resolved, same, [type(m).__name__ for m in (before, after, ren
         ["purity", "--state", "singlet"],
         ["werner-scan", "--steps", "1001"],
         ["simulate", "--config", "{config}", "--out", "{out}"],
+        ["--help"],
     ],
-    ids=["purity", "werner-scan", "simulate"],
+    ids=["purity", "werner-scan", "simulate", "help"],
 )
 def test_a_stdout_that_cannot_be_written_is_one_error_line(tmp_path, argv, buffered):
-    # buffered, purity said "Exception ignored ... OSError: [Errno 28]" at interpreter exit and exited 120
+    # buffered, purity and --help said "Exception ignored ... OSError: [Errno 28]" at interpreter
+    # exit and exited 120; unbuffered, --help exited 0 with its text lost
     config = write_config(tmp_path / "run.json", shots_per_phase=1000)
     argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
     with open("/dev/full", "w") as full:

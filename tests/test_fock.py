@@ -27,8 +27,10 @@ from renyi2.fock import (
     outcome_curves,
     spdc_four_photon_state,
     vacuum,
+    _acc,
     _kdag,
     _ldag,
+    _pair,
     _VACUUM_KEY,
 )
 from renyi2.qstate import SINGLET_VEC
@@ -93,6 +95,51 @@ def test_fock_state_validation():
                 FockState({_VACUUM_KEY: bad}, normalized=normalized)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModeIndex(1, 0), "^polarization must be H or V, got 0$"),
+        (lambda: FockState({_VACUUM_KEY: 1.0}, cap=0), "^photon cap must be positive, got 0$"),
+        (lambda: FockState({(0, 0): 1.0}), r"^occupation vector must have 8 entries, got \(0, 0\)$"),
+        (lambda: FockState({}, normalized=False).to_normalized(), "^cannot normalize the zero state$"),
+        (lambda: hamiltonian_expansion(0.3, -1), "^expansion order must be non-negative, got -1$"),
+        (lambda: beam_splitter(vacuum(), 1, 5), "^spatial index must be 1..4, got 5$"),
+        (lambda: beam_splitter(vacuum(), 1, 2, "lossy"), "^unknown beam-splitter convention 'lossy'$"),
+        (lambda: classify_outcome((1, 1, 1, 1)), r"^pattern must have 8 entries, got \(1, 1, 1, 1\)$"),
+        (
+            lambda: CoincidenceRecord(-0.1, 0.1, 0.0, 0.0, 1.0),
+            r"^negative probability in \(-0.1, 0.1, 0.0, 0.0, 1.0\)$",
+        ),
+        (
+            lambda: coincidence_probabilities(FockState({_VACUUM_KEY: 0.5}, normalized=False)),
+            "^coincidence probabilities need a normalized state$",
+        ),
+        (
+            lambda: conditional_state_after_anticoalescence(FockState({_VACUUM_KEY: 0.5}, normalized=False), "A"),
+            "^conditioning needs a normalized state$",
+        ),
+    ],
+    ids=[
+        "mode-polarization-type", "state-cap", "state-length", "normalize-zero", "expansion-order",
+        "splitter-port", "splitter-convention", "pattern-length", "record-negative",
+        "coincidence-unnormalized", "conditioning-unnormalized",
+    ],
+)
+def test_network_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_inner_product_is_conjugate_symmetric_on_unequal_supports():
+    rng = np.random.default_rng(5)
+    small = random_sparse_state(rng, n_kets=2)
+    big = random_sparse_state(rng, n_kets=7).amplitudes
+    big.update({occ: (0.3 + 0.8j) * a for occ, a in small.amplitudes.items()})  # shares small's support
+    big = FockState(big, normalized=False)
+    assert small.inner(big).imag != 0
+    assert small.inner(big) == np.conj(big.inner(small))
+
+
 # -- creation operators -------------------------------------------------------
 
 
@@ -113,6 +160,26 @@ def test_pair_creation_squared_norm():
     raw = _kdag({_VACUUM_KEY: 1.0 + 0j}, DEFAULT_CAP)
     st = FockState(raw, normalized=False)
     assert abs(st.norm_sq() - 2.0) < 1e-12
+
+
+def test_pair_creation_is_the_polarization_singlet():
+    # K^dag |vac> = a+_1H a+_3V |vac> - a+_1V a+_3H |vac>, L^dag the same on ports 2 and 4
+    vac = {_VACUUM_KEY: 1.0 + 0j}
+    assert _kdag(vac, DEFAULT_CAP) == {(1, 0, 0, 0, 0, 1, 0, 0): 1.0, (0, 1, 0, 0, 1, 0, 0, 0): -1.0}
+    assert _ldag(vac, DEFAULT_CAP) == {(0, 0, 1, 0, 0, 0, 0, 1): 1.0, (0, 0, 0, 1, 0, 0, 1, 0): -1.0}
+
+
+@pytest.mark.parametrize("ports", [(1, 3), (2, 4)])
+def test_pair_annihilation_is_the_adjoint_of_pair_creation(ports):
+    # <x| P^dag y> = <P x| y>; x holds P^dag y, so the products are not zero
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        y = random_sparse_state(rng, n_kets=int(rng.integers(1, 5)), photons=2).amplitudes
+        x = random_sparse_state(rng, n_kets=int(rng.integers(1, 5)), photons=4).amplitudes
+        _acc(x, _pair(y, ports, 1, DEFAULT_CAP), 0.7 - 0.2j)
+        lhs = FockState(x, normalized=False).inner(FockState(_pair(y, ports, 1, DEFAULT_CAP), normalized=False))
+        rhs = FockState(_pair(x, ports, -1, DEFAULT_CAP), normalized=False).inner(FockState(y, normalized=False))
+        assert abs(lhs) > 0.1 and abs(lhs - rhs) < 1e-12
 
 
 def test_apply_creation_cap_error():
@@ -175,6 +242,13 @@ def test_expansion_first_order_two_photon_sector():
         want[occ] = want.get(occ, 0j) + np.exp(1j * phi) * a
     want = FockState(want, normalized=False).to_normalized()
     assert abs(abs(got.inner(want)) - 1.0) < 1e-12
+
+
+def test_expansion_drops_kets_beyond_the_cap():
+    # at cap 2 the third order reaches K^dag^3 |vac>, whose kets hold 3 photons in
+    # a mode; they are dropped, where FockState would refuse them
+    assert len(hamiltonian_expansion(0.3, 3, cap=2).amplitudes) == 31
+    assert len(hamiltonian_expansion(0.3, 3, cap=4).amplitudes) == 35
 
 
 @pytest.mark.parametrize("phi", [0.0, PI / 4, PI / 2, 2.3])
@@ -415,7 +489,7 @@ def test_outcome_curves_build_no_fock_state(monkeypatch):
         raise AssertionError("the Fock network ran")
 
     # renyi2.fock serves these names from the network module, so patch them there
-    for name in ("FockState", "spdc_four_photon_state", "beam_splitter", "_bs_pair", "_create",
+    for name in ("FockState", "spdc_four_photon_state", "beam_splitter", "_bs_pair", "_shift",
                  "coincidence_probabilities"):
         monkeypatch.setattr(_fock_network, name, refuse)
     rows = outcome_curves(np.linspace(0.0, PI, 5))
@@ -534,6 +608,17 @@ def test_swapping_degrades_off_the_marked_phase():
     assert abs(fid - 0.25) < 1e-12
 
 
+def test_conditioning_keeps_the_far_side():
+    # after the splitters: a singlet on side A's ports, |H>|V> on side B's; the real
+    # splitters are self-inverse, so running them back gives the input state
+    after = FockState({(1, 0, 0, 1, 1, 0, 0, 1): 1.0 / np.sqrt(2.0), (0, 1, 1, 0, 1, 0, 0, 1): -1.0 / np.sqrt(2.0)})
+    st = beam_splitter(beam_splitter(after, 1, 2), 3, 4)
+    hv = np.zeros((4, 4))
+    hv[1, 1] = 1.0
+    assert np.max(np.abs(conditional_state_after_anticoalescence(st, "A").matrix - hv)) < 1e-12
+    assert abs(singlet_fidelity(conditional_state_after_anticoalescence(st, "B")) - 1.0) < 1e-12
+
+
 def test_conditioning_on_impossible_event_raises():
     st = FockState({(1, 0, 1, 0, 1, 0, 1, 0): 1.0})  # all H: both sides coalesce
     with pytest.raises(ValueError, match="zero probability"):
@@ -543,3 +628,26 @@ def test_conditioning_on_impossible_event_raises():
 def test_conditioning_rejects_bad_side():
     with pytest.raises(ValueError, match="side"):
         conditional_state_after_anticoalescence(two_singlet_state(), "C")
+
+
+def mirrored(state):
+    """The state with side A (ports 1, 2) and side B (ports 3, 4) swapped."""
+    return FockState({occ[4:] + occ[:4]: a for occ, a in state.amplitudes.items()})
+
+
+def test_conditioning_on_a_equals_conditioning_the_mirror_on_b():
+    rng = np.random.default_rng(77)
+    compared = 0
+    for _ in range(400):
+        st = random_sparse_state(rng, n_kets=int(rng.integers(1, 9)))
+        try:
+            rho_a = conditional_state_after_anticoalescence(st, "A").matrix
+        except ValueError as exc:
+            assert "zero probability" in str(exc)
+            with pytest.raises(ValueError, match="zero probability"):
+                conditional_state_after_anticoalescence(mirrored(st), "B")
+            continue
+        rho_b = conditional_state_after_anticoalescence(mirrored(st), "B").matrix
+        assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
+        compared += 1
+    assert compared >= 200
