@@ -292,7 +292,9 @@ def beam_splitter(
     """50:50 beam splitter on a spatial mode pair, polarization preserved.
 
     Applies the two-mode transformation to the H pair and the V pair of the
-    given spatial ports. Unitary, so the normalization flag carries over.
+    given spatial ports. Unitary, so the normalization flag carries over. It
+    conserves photon number but can bunch photons onto one mode, so the
+    output's cap is the input's, or the largest output occupation if higher.
     """
     if spatial_a == spatial_b:
         raise ValueError(f"beam splitter needs two distinct spatial modes, got {spatial_a}")
@@ -304,7 +306,8 @@ def beam_splitter(
     amps = state.amplitudes
     for ia, ib in pairs:
         amps = _bs_pair(amps, ia, ib, m)
-    return FockState(amps, normalized=state.normalized, cap=state.cap)
+    cap = max([state.cap, *map(max, amps)])
+    return FockState(amps, normalized=state.normalized, cap=cap)
 
 
 def classify_outcome(pattern) -> OutcomeClass:

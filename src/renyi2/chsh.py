@@ -8,11 +8,9 @@ maximum; the tests cross-check it against a brute-force settings scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _numbers, _require_all, _stack
+from renyi2.qstate import DensityOperator, _numbers, _Record, _require_all, _stack
 
 PAULI = np.array(
     [
@@ -32,19 +30,18 @@ ENTRY_TOL = 1e-10
 KERNEL_BACKEND = "numpy"
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
+class CorrelationMatrix(_Record):
     """3x3 real matrix t_ij = Tr(rho sigma_i kron sigma_j)."""
 
-    t: np.ndarray
+    __slots__ = ("t",)
 
-    def __post_init__(self):
-        t = _numbers("correlation matrix t", self.t, float)
+    def __init__(self, t: np.ndarray):
+        t = _numbers("correlation matrix t", t, float)
         if t.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
         _check_correlations(t[None], stacked=False)
         t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        self._fill(t)
 
 
 def _check_correlations(t: np.ndarray, stacked: bool) -> np.ndarray:

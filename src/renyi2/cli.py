@@ -7,7 +7,6 @@ keys) so identical data is byte-identical on disk.
 """
 
 import argparse
-import dataclasses
 import importlib.util
 import json
 import math
@@ -189,7 +188,7 @@ def cmd_purity(args) -> int:
     rho = _load_state(args.state)
     p = collision_probabilities(rho)
     verdict = entropic_witness(p)
-    collisions = dataclasses.asdict(p)
+    collisions = dict(zip(p.__slots__, p.as_tuple()))
     # (reconstructed, direct) of each matrix
     purities = {
         m: (rec, purity(rho if side is None else partial_trace(rho, side)))
@@ -252,11 +251,13 @@ def cmd_phase_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     raw = _load_json(args.config, "config")
-    fields = dataclasses.fields(experiment.RunConfig)
-    unknown = sorted(set(raw).difference(f.name for f in fields))
+    fields = experiment.RunConfig.__slots__
+    unknown = sorted(set(raw).difference(fields))
     if unknown:
         raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    # the fields before those RunConfig gives a default
+    required = fields[: len(fields) - len(experiment.RunConfig.__init__.__defaults__)]
+    missing = [name for name in required if name not in raw]
     if missing:
         raise ValueError(f"config is missing required field(s): {', '.join(missing)}")
     if args.seed is not None:

@@ -10,13 +10,12 @@ JSON-ready report whose counts are rows in _COUNT_FIELDS order.
 """
 
 import math
-from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import MAX_GRID_POINTS, _integer, _numbers, _probability, _require_all
+from .qstate import MAX_GRID_POINTS, _integer, _numbers, _probability, _Record, _require_all
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -64,19 +63,16 @@ def _correction_factors(detector_model: str) -> np.ndarray:
         ) from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record, eq=True):
     """Settings of one simulated phase scan."""
 
-    phi_grid: tuple
-    shots_per_phase: int
-    visibility: float = 1.0
-    background_rate: float = 0.0
-    seed: int = 0
-    detector_model: str = "number_resolving"
+    __slots__ = ("phi_grid", "shots_per_phase", "visibility", "background_rate", "seed", "detector_model")
 
-    def __post_init__(self):
-        grid = self.phi_grid
+    def __init__(
+        self, phi_grid: tuple, shots_per_phase: int, visibility: float = 1.0, background_rate: float = 0.0,
+        seed: int = 0, detector_model: str = "number_resolving",
+    ):
+        grid = phi_grid
         # a 0-d array has __iter__, but iterating it raises TypeError
         if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__") or getattr(grid, "ndim", 1) == 0:
             raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
@@ -88,20 +84,19 @@ class RunConfig:
             raise ValueError("phi_grid is empty")
         if len(phases) > MAX_GRID_POINTS:
             raise ValueError(f"phi_grid has more than {MAX_GRID_POINTS} phases")
-        object.__setattr__(self, "phi_grid", tuple(phases.tolist()))  # not an array: the dataclass hashes its fields
         shots = _integer(
-            "shots_per_phase", self.shots_per_phase, 1, MAX_SHOTS,
+            "shots_per_phase", shots_per_phase, 1, MAX_SHOTS,
             f"a positive integer no larger than {MAX_SHOTS}",
         )
-        object.__setattr__(self, "shots_per_phase", shots)
-        for name in ("visibility", "background_rate"):
-            object.__setattr__(self, name, _probability(name, getattr(self, name)))
-        seed = _integer("seed", self.seed, 0, 2**64 - 1, "a 64-bit unsigned integer")
-        object.__setattr__(self, "seed", seed)
-        _correction_factors(self.detector_model)
+        visibility = _probability("visibility", visibility)
+        background_rate = _probability("background_rate", background_rate)
+        seed = _integer("seed", seed, 0, 2**64 - 1, "a 64-bit unsigned integer")
+        _correction_factors(detector_model)
+        # the phases as a tuple, not an array: a RunConfig hashes its fields
+        self._fill(tuple(phases.tolist()), shots, visibility, background_rate, seed, detector_model)
 
     def as_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "phi_grid": list(self.phi_grid)}
+        return {**dict(zip(self.__slots__, self._values())), "phi_grid": list(self.phi_grid)}
 
 
 def outcome_distributions(phi_grid, visibility: float, background_rate: float) -> np.ndarray:
@@ -206,14 +201,14 @@ def _ss_hashmix(hash_const: int, multiplier: int):
     return hashmix
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelEstimate:
-    """Per-phase proportion estimates of one outcome channel, as read-only arrays."""
+class ChannelEstimate(_Record):
+    """Per-phase proportion estimates of one outcome channel, as read-only arrays;
+    degenerate is True where the raw count was 0 or N (sigma collapses)."""
 
-    phi: np.ndarray
-    value: np.ndarray
-    sigma: np.ndarray
-    degenerate: np.ndarray  # True where the raw count was 0 or N (sigma collapses)
+    __slots__ = ("phi", "value", "sigma", "degenerate")
+
+    def __init__(self, phi: np.ndarray, value: np.ndarray, sigma: np.ndarray, degenerate: np.ndarray):
+        self._fill(phi, value, sigma, degenerate)
 
 
 def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, ChannelEstimate]:
@@ -273,23 +268,26 @@ def _binomial_stderr(q: np.ndarray, n_total: np.ndarray, factor) -> np.ndarray:
     return factor * np.sqrt(q * (1.0 - q) / n_total)
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(_Record):
     """Weighted cosine fit offset + amplitude*cos(2*phi + phase_origin)."""
 
-    offset: float
-    amplitude: float
-    phase_origin: float
-    residual_rms: float
-    minima_locations: tuple
-    minima_values: tuple
-    minima_stderr: tuple
-    covariance: np.ndarray
+    __slots__ = (
+        "offset", "amplitude", "phase_origin", "residual_rms",
+        "minima_locations", "minima_values", "minima_stderr", "covariance",
+    )
+
+    def __init__(
+        self, offset: float, amplitude: float, phase_origin: float, residual_rms: float,
+        minima_locations: tuple, minima_values: tuple, minima_stderr: tuple, covariance: np.ndarray,
+    ):
+        self._fill(
+            offset, amplitude, phase_origin, residual_rms, minima_locations, minima_values, minima_stderr, covariance
+        )
 
     def as_dict(self) -> dict:
         """Every field but the covariance, tuples as lists."""
-        items = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "covariance")
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in items}
+        items = zip(self.__slots__, self._values())
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in items if name != "covariance"}
 
 
 _MAX_CONDITION = 1e12

@@ -8,7 +8,6 @@ Subsystem A is always the first tensor factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Complex, Integral, Real
 
 import numpy as np
@@ -152,21 +151,68 @@ def density_stack(matrices, dim_a: int, dim_b: int) -> np.ndarray:
     return _validated(matrices, dim_a, dim_b, stacked=True)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class _Record:
+    """Base of renyi2's immutable records. A record lists its fields once, in
+    constructor order, as its __slots__, and its __init__ sets them with _fill.
+
+    Assigning or deleting an attribute raises AttributeError, the repr is
+    Name(field=value, ...), and pickle and copy rebuild a record through its
+    constructor. A record compares and hashes by identity, or by its field
+    values when its class statement passes eq=True.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = False):
+        super().__init_subclass__()
+        if eq:
+            cls.__eq__ = _Record._eq_values
+            cls.__hash__ = _Record._hash_values
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _eq_values(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def _hash_values(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DensityOperator(_Record):
     """Validated trace-one Hermitian PSD matrix on a dim_a x dim_b system.
 
     dim_b = 1 marks a monopartite state. Instances are immutable; every
     operation below returns a fresh validated value.
     """
 
-    dim_a: int
-    dim_b: int
-    matrix: np.ndarray
+    __slots__ = ("dim_a", "dim_b", "matrix")
 
+    def __init__(self, dim_a: int, dim_b: int, matrix: np.ndarray):
+        self._fill(dim_a, dim_b, matrix)
+        self.__post_init__()
+
+    # the validation; perfbench/tracer.py times it by wrapping this method on the class
     def __post_init__(self):
         m, dim_a, dim_b = _validated(self.matrix, self.dim_a, self.dim_b, stacked=False)
-        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, matrix=m)  # past the frozen __setattr__
+        self._fill(dim_a, dim_b, m)
 
     @property
     def dim(self) -> int:

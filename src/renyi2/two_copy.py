@@ -10,11 +10,10 @@ entanglement witness. Subscript order is (A, B): p_ca means the symmetric
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from renyi2.qstate import DensityOperator, _numbers, _require_all, _stack
+from renyi2.qstate import DensityOperator, _numbers, _Record, _require_all, _stack
 
 PROB_SUM_TOL = 1e-10
 # slack for collision probabilities that land a hair outside [0, 1]
@@ -24,16 +23,13 @@ PROB_EDGE_TOL = 1e-10
 MARGIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CollisionProbabilities:
+class CollisionProbabilities(_Record, eq=True):
     """The quadruple (p_cc, p_ca, p_ac, p_aa); first subscript is side A."""
 
-    p_cc: float
-    p_ca: float
-    p_ac: float
-    p_aa: float
+    __slots__ = ("p_cc", "p_ca", "p_ac", "p_aa")
 
-    def __post_init__(self):
+    def __init__(self, p_cc: float, p_ca: float, p_ac: float, p_aa: float):
+        self._fill(p_cc, p_ca, p_ac, p_aa)
         _check_quadruples(_numbers("collision probabilities", [self.as_tuple()], float), stacked=False)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -115,8 +111,7 @@ def purities_from_probabilities(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(_Record, eq=True):
     """Outcome of the entropic witness on one set of collision probabilities.
 
     margin_a = p_aa - p_ca and margin_b = p_aa - p_ac; a margin above
@@ -124,13 +119,13 @@ class WitnessVerdict:
     standard deviations, present only when errors were supplied.
     """
 
-    violated_a: bool
-    violated_b: bool
-    margin_a: float
-    margin_b: float
-    significance_a: float | None
-    significance_b: float | None
-    entangled: bool
+    __slots__ = ("violated_a", "violated_b", "margin_a", "margin_b", "significance_a", "significance_b", "entangled")
+
+    def __init__(
+        self, violated_a: bool, violated_b: bool, margin_a: float, margin_b: float,
+        significance_a: float | None, significance_b: float | None, entangled: bool,
+    ):
+        self._fill(violated_a, violated_b, margin_a, margin_b, significance_a, significance_b, entangled)
 
     @property
     def significance(self) -> float | None:

@@ -381,14 +381,16 @@ def test_simulate_config_validation_messages(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code != 0 and "visibility" in err
 
-    cfg = write_config(tmp_path / "run2.json", extra_knob=1)
+    cfg = write_config(tmp_path / "run2.json", extra_knob=1, another=2)
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert code != 0 and "unknown config field" in err and "extra_knob" in err
+    assert (code, err) == (2, "error: unknown config field(s): another, extra_knob\n")
 
+    # the required fields are listed in RunConfig's field order
     partial = tmp_path / "run3.json"
-    partial.write_text(json.dumps({"shots_per_phase": 100}))
-    code, _, err = run_cli(capsys, "simulate", "--config", str(partial), "--out", str(tmp_path / "o"))
-    assert code != 0 and "phi_grid" in err
+    for raw, missing in [({}, "phi_grid, shots_per_phase"), ({"shots_per_phase": 100}, "phi_grid")]:
+        partial.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(partial), "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, f"error: config is missing required field(s): {missing}\n")
 
     broken = tmp_path / "run4.json"
     broken.write_text("{oops")
@@ -878,11 +880,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 layers = {{layer: sys.modules.get(f"renyi2.{{layer}}") for layer in {LAZY_LAYERS!r}}}
 ran = sorted(layer for layer, m in layers.items()
              if m is not None and {LAZY_LAYERS!r}[layer] in object.__getattribute__(m, "__dict__"))
-print(json.dumps([status, ran, sorted(m for m in sys.modules if m.startswith("renyi2."))]))
+modules = sorted(m for m in sys.modules if m.startswith("renyi2."))
+print(json.dumps([status, ran, modules, "dataclasses" in sys.modules]))
 """
     proc = run_fresh("-c", code)
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [0, ran, sorted(LAYERS + ["renyi2.__main__", "renyi2.cli"])]
+    # the records are plain classes: no command loads dataclasses
+    assert json.loads(proc.stdout) == [0, ran, sorted(LAYERS + ["renyi2.__main__", "renyi2.cli"]), False]
 
 
 def test_a_layer_imported_before_or_after_the_cli_is_one_module_object():

@@ -321,6 +321,48 @@ def test_beam_splitter_unitarity_on_random_states():
         assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
+def random_capped_state(rng, cap):
+    """A normalized state of 1-8 kets of 1-4 photons each, no mode above the cap."""
+    amps, n_kets = {}, rng.integers(1, 9)
+    while len(amps) < n_kets:
+        occ = [0] * 8
+        for _ in range(rng.integers(1, 5)):
+            occ[rng.integers(0, 8)] += 1
+        if max(occ) <= cap:
+            amps[tuple(occ)] = rng.normal() + 1j * rng.normal()
+    nrm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return FockState({k: v / nrm for k, v in amps.items()}, cap=cap)
+
+
+def test_beam_splitter_raises_the_cap_to_the_photons_it_bunches():
+    # three photons in ports 1 and 2 can all leave through one of them
+    st = FockState({(2, 0, 1, 0, 0, 0, 0, 0): 1.0}, cap=2)
+    out = beam_splitter(st, 1, 2)
+    assert out.cap == 3 and abs(out.norm_sq() - 1.0) < 1e-12
+    assert max(max(occ) for occ in out.amplitudes) == 3
+    assert abs(coincidence_probabilities(st).other - 1.0) < 1e-12
+    # a state whose output fits the input's cap keeps that cap
+    assert beam_splitter(FockState({(1, 0, 0, 0, 0, 0, 0, 0): 1.0}, cap=2), 1, 2).cap == 2
+
+
+def test_coincidence_probabilities_of_random_cap_two_states():
+    rng = np.random.default_rng(58)
+    bunched = 0
+    for _ in range(300):
+        st = random_capped_state(rng, cap=2)
+        rec = coincidence_probabilities(st)
+        assert abs(sum(rec.as_dict().values()) - 1.0) <= 1e-12
+        # the splitters never touch the cap, so the numbers are those of the same
+        # amplitudes under a cap no 1-4 photon state can exceed
+        wide = FockState(st.amplitudes, cap=4)
+        after = beam_splitter(beam_splitter(st, 1, 2), 3, 4)
+        assert after.amplitudes == beam_splitter(beam_splitter(wide, 1, 2), 3, 4).amplitudes
+        assert rec.as_dict() == coincidence_probabilities(wide).as_dict()
+        bunched += after.cap > 2
+    # the draw holds states whose splitters bunch photons above the cap, and others
+    assert 0 < bunched < 300
+
+
 def test_beam_splitter_is_self_inverse():
     rng = np.random.default_rng(9)
     st = random_sparse_state(rng)
