@@ -5,8 +5,9 @@ states: two-copy collision probabilities, an entropic entanglement witness, a
 CHSH baseline, a bosonic model of the four-photon source, and a stochastic
 experiment emulator with curve fitting.
 
-Each public name is listed once, under its layer, and the layer is imported
-on first access (PEP 562), so `import renyi2` loads neither numpy nor a layer.
+Each public name is listed once, under the module that defines it, and that
+module is imported on first access (PEP 562), so `import renyi2` loads
+neither numpy nor a layer.
 """
 
 import importlib
@@ -23,11 +24,12 @@ _EXPORTS = {
         "entropic_witness", "purities_from_probabilities", "witness_margins",
     ),
     "chsh": ("CorrelationMatrix", "KERNEL_BACKEND", "correlation_matrix", "max_chsh", "max_chsh_values"),
-    "fock": (
+    "fock": ("coincidence_curves", "outcome_curves"),
+    "_fock_network": (
         "CoincidenceRecord", "FockState", "ModeIndex", "OutcomeClass", "Polarization", "apply_creation",
-        "beam_splitter", "classify_outcome", "coincidence_curves", "coincidence_probabilities",
-        "conditional_state_after_anticoalescence", "hamiltonian_expansion",
-        "hamiltonian_four_photon_term", "outcome_curves", "spdc_four_photon_state", "vacuum",
+        "beam_splitter", "classify_outcome", "coincidence_probabilities",
+        "conditional_state_after_anticoalescence", "hamiltonian_expansion", "hamiltonian_four_photon_term",
+        "spdc_four_photon_state", "vacuum",
     ),
     "experiment": (
         "FitResult", "RunConfig", "estimate_probabilities", "fit_interference", "simulate_counts",

@@ -1,8 +1,8 @@
 """Bosonic Fock-space model of the four-photon interference experiment.
 
 The network that derives the closed-form outcome curves of renyi2.fock, kept
-as their oracle. No production path runs it: renyi2.fock serves these names
-and imports this module on first use of one of them.
+as their oracle. No production path runs it: the package exports its public
+names from here and imports this module on first use of one of them.
 
 Eight optical modes: four spatial ports (1, 2 feed side A; 3, 4 feed side B)
 with two polarizations each. Occupation vectors are 8-tuples in the flat order
@@ -23,14 +23,13 @@ single-crystal double pairs. The four-photon source state is
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial, sqrt
 
 import numpy as np
 
 from renyi2.fock import CHANNELS
-from renyi2.qstate import DensityOperator, _numbers
+from renyi2.qstate import DensityOperator, _Record, _numbers
 
 NORM_TOL = 1e-10
 DEFAULT_CAP = 4
@@ -44,25 +43,22 @@ class Polarization(Enum):
     V = 1
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(_Record, eq=True):
     """One of the 8 optical modes: spatial port 1..4, polarization H or V."""
 
-    spatial: int
-    polarization: Polarization
+    __slots__ = ("spatial", "polarization")
 
-    def __post_init__(self):
-        if self.spatial not in (1, 2, 3, 4):
-            raise ValueError(f"spatial index must be 1..4, got {self.spatial}")
-        pol = self.polarization
-        if isinstance(pol, str):
+    def __init__(self, spatial: int, polarization: Polarization):
+        if spatial not in (1, 2, 3, 4):
+            raise ValueError(f"spatial index must be 1..4, got {spatial}")
+        if isinstance(polarization, str):
             try:
-                pol = Polarization[pol]
+                polarization = Polarization[polarization]
             except KeyError:
-                raise ValueError(f"polarization must be H or V, got {pol!r}") from None
-            object.__setattr__(self, "polarization", pol)
-        elif not isinstance(pol, Polarization):
-            raise ValueError(f"polarization must be H or V, got {pol!r}")
+                raise ValueError(f"polarization must be H or V, got {polarization!r}") from None
+        elif not isinstance(polarization, Polarization):
+            raise ValueError(f"polarization must be H or V, got {polarization!r}")
+        self._fill(spatial, polarization)
 
     @property
     def flat(self) -> int:
@@ -328,18 +324,13 @@ def classify_outcome(pattern) -> OutcomeClass:
     return OutcomeClass(a + b)
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
+class CoincidenceRecord(_Record, eq=True):
     """Outcome-class probabilities after both beam splitters."""
 
-    cc: float
-    ca: float
-    ac: float
-    aa: float
-    other: float
+    __slots__ = CHANNELS
 
-    def __post_init__(self):
-        vals = tuple(self.as_dict().values())
+    def __init__(self, cc: float, ca: float, ac: float, aa: float, other: float):
+        vals = (cc, ca, ac, aa, other)
         for name, v in zip(CHANNELS, vals):
             _numbers(name, v, float)
         if min(vals) < -1e-12:
@@ -347,6 +338,7 @@ class CoincidenceRecord:
         total = sum(vals)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"outcome probabilities sum to {total}, expected 1")
+        self._fill(*vals)
 
     def as_dict(self) -> dict[str, float]:
         return {ch: getattr(self, ch) for ch in CHANNELS}

@@ -45,7 +45,7 @@ def _lazy(name: str):
     is returned as it is, so the process never holds two copies of it.
 
     Imports inside the commands would do the same with less machinery, but the benchmark's tracer
-    reads every layer from sys.modules right after `import renyi2.cli`. ROADMAP item 2 replaces the
+    reads every layer from sys.modules right after `import renyi2.cli`. ROADMAP item 4 replaces the
     tracer, and these lazy modules with imports inside the commands.
     """
     full = f"{__package__}.{name}"

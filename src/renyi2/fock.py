@@ -3,12 +3,9 @@
 The source state, the two analysis beam splitters and the outcome taxonomy
 are modelled in Fock space by the network in renyi2._fock_network. Every
 curve it gives is a + b cos 2 phi with rational constants, evaluated here, so
-no production path builds a Fock state. The network's names stay importable
-from this module: a PEP 562 __getattr__ serves the names of _NETWORK and
-imports the network on first use of one of them.
+no production path builds a Fock state. The package exports the network's
+public names from that module (renyi2.FockState), not from this one.
 """
-
-import importlib
 
 import numpy as np
 
@@ -58,23 +55,3 @@ def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float
     phi = _numbers("phi", phi_grid, float).reshape(-1)
     return list(zip(phi.tolist(), *outcome_curves(phi)[:, :-1].T.tolist()))
 
-
-# every name renyi2._fock_network defines; static, so that looking up any
-# other name (hasattr(fock, "cache_clear"), say) imports nothing
-_NETWORK = (
-    "NORM_TOL", "DEFAULT_CAP", "N_MODES", "_VACUUM_KEY", "Polarization", "ModeIndex", "OutcomeClass",
-    "FockState", "vacuum", "apply_creation", "_shift", "_acc", "_pair", "_kdag", "_ldag", "_apply_hamiltonian",
-    "spdc_four_photon_state", "hamiltonian_expansion", "hamiltonian_four_photon_term", "_BS_MATRICES",
-    "_bs_pair", "beam_splitter", "classify_outcome", "CoincidenceRecord", "coincidence_probabilities",
-    "conditional_state_after_anticoalescence",
-)
-
-
-def __getattr__(name):
-    if name not in _NETWORK:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module("renyi2._fock_network"), name)
-
-
-def __dir__():
-    return sorted({*globals(), *_NETWORK})

@@ -15,10 +15,9 @@ import pytest
 
 from renyi2.chsh import max_chsh
 from renyi2.experiment import RunConfig, witness_from_run
-from renyi2.fock import (
+from renyi2._fock_network import (
     DEFAULT_CAP,
     FockState,
-    coincidence_curves,
     conditional_state_after_anticoalescence,
     hamiltonian_four_photon_term,
     spdc_four_photon_state,
@@ -26,6 +25,7 @@ from renyi2.fock import (
     _ldag,
     _VACUUM_KEY,
 )
+from renyi2.fock import coincidence_curves
 from renyi2.qstate import SINGLET_VEC, partial_trace, purity, ppt_min_eigenvalue, random_density, singlet, werner
 from renyi2.two_copy import collision_probabilities, entropic_witness, purities_from_probabilities
 

@@ -949,7 +949,9 @@ for name in renyi2.__all__:
     home = getattr(obj, "__module__", None)
     # a constant has no __module__: its home is the one layer that binds it
     homes = [home] if home in sys.modules else [m.__name__ for m in layers if name in vars(m)]
-    if len(homes) != 1 or getattr(sys.modules[homes[0]], name) is not obj:
+    # and _EXPORTS lists each name under its home
+    listed = f"renyi2.{{renyi2._LAYER[name]}}"
+    if homes != [listed] or getattr(sys.modules[listed], name) is not obj:
         wrong.append(name)
 print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(renyi2.__all__)]))
 """

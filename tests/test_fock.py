@@ -4,12 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import renyi2
 import renyi2._fock_network as _fock_network
 import renyi2.fock as fock
-from renyi2.fock import (
-    CHANNELS,
-    CURVE_AMPLITUDES,
-    CURVE_OFFSETS,
+from renyi2._fock_network import (
     DEFAULT_CAP,
     CoincidenceRecord,
     FockState,
@@ -19,12 +17,10 @@ from renyi2.fock import (
     apply_creation,
     beam_splitter,
     classify_outcome,
-    coincidence_curves,
     coincidence_probabilities,
     conditional_state_after_anticoalescence,
     hamiltonian_expansion,
     hamiltonian_four_photon_term,
-    outcome_curves,
     spdc_four_photon_state,
     vacuum,
     _acc,
@@ -33,6 +29,7 @@ from renyi2.fock import (
     _pair,
     _VACUUM_KEY,
 )
+from renyi2.fock import CHANNELS, CURVE_AMPLITUDES, CURVE_OFFSETS, coincidence_curves, outcome_curves
 from renyi2.qstate import SINGLET_VEC
 
 from oracles import _check_phase_gram, phase_gram
@@ -530,7 +527,6 @@ def test_outcome_curves_build_no_fock_state(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Fock network ran")
 
-    # renyi2.fock serves these names from the network module, so patch them there
     for name in ("FockState", "spdc_four_photon_state", "beam_splitter", "_bs_pair", "_shift",
                  "coincidence_probabilities"):
         monkeypatch.setattr(_fock_network, name, refuse)
@@ -552,17 +548,21 @@ def _defined_names(module):
 
 def test_network_table_lists_exactly_the_names_the_network_defines():
     defined = _defined_names(_fock_network)
-    assert sorted(fock._NETWORK) == sorted(defined) and len(set(defined)) == len(defined)
-    # fock binds none of them itself, so every lookup goes to the network
-    assert not set(fock._NETWORK) & set(vars(fock))
+    # the package exports every public class and function of the network, listed under it
+    public = [name for name in defined if not name.startswith("_") and not name.isupper()]
+    assert sorted(renyi2._EXPORTS["_fock_network"]) == sorted(public) and len(set(defined)) == len(defined)
+    # renyi2.fock binds none of them, so the package reaches the network in one hop
+    assert not set(defined) & set(vars(fock))
 
 
-@pytest.mark.parametrize("name", fock._NETWORK)
+@pytest.mark.parametrize("name", _defined_names(_fock_network))
 def test_network_names_resolve_to_the_network_objects(name):
-    namespace = {}
-    exec(f"from renyi2.fock import {name}", namespace)
-    assert namespace[name] is getattr(_fock_network, name)
-    assert name in dir(fock)
+    # the network serves each of its names, the package serves the public ones, renyi2.fock none
+    assert not hasattr(fock, name)
+    if name in renyi2._LAYER:
+        namespace = {}
+        exec(f"from renyi2 import {name}", namespace)
+        assert namespace[name] is getattr(_fock_network, name) and name in dir(renyi2)
 
 
 def test_unknown_fock_attribute_raises_attribute_error():

@@ -1,9 +1,10 @@
-"""The contract of the seven public records.
+"""The contract of the nine public records.
 
 Each record takes its fields positionally or by keyword, refuses assignment
 and deletion, rebuilds through pickle and copy.deepcopy, prints as
 Name(field=value, ...), and compares either by field values (RunConfig,
-CollisionProbabilities, WitnessVerdict) or by identity (the other four).
+CollisionProbabilities, WitnessVerdict, ModeIndex, CoincidenceRecord) or by
+identity (the other four).
 """
 
 import copy
@@ -12,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from renyi2._fock_network import CoincidenceRecord, ModeIndex, Polarization
 from renyi2.chsh import CorrelationMatrix
 from renyi2.experiment import ChannelEstimate, FitResult, RunConfig
 from renyi2.qstate import DensityOperator, SINGLET_VEC
@@ -87,6 +89,12 @@ RECORDS = {
         },
         False,
     ),
+    "ModeIndex": (ModeIndex, {"spatial": 3, "polarization": Polarization.V}, True),
+    "CoincidenceRecord": (
+        CoincidenceRecord,
+        {"cc": 0.5, "ca": 0.125, "ac": 0.125, "aa": 0.25, "other": 0.0},
+        True,
+    ),
 }
 VALUE_EQUALITY = sorted(name for name, (_, _, by_value) in RECORDS.items() if by_value)
 
@@ -157,6 +165,8 @@ def test_value_records_differ_when_a_field_differs(name):
         "CollisionProbabilities": {"p_cc": 0.375, "p_ca": 0.25},
         "WitnessVerdict": {"margin_a": -0.25},
         "RunConfig": {"seed": 8},
+        "ModeIndex": {"polarization": Polarization.H},
+        "CoincidenceRecord": {"cc": 0.375, "other": 0.125},
     }[name]
     assert record != cls(**{**fields, **changed})
 
@@ -175,3 +185,8 @@ def test_records_normalize_their_fields():
     )
     assert config == RunConfig((0.0, 1.0), 100, seed=5)
     assert hash(config) == hash(RunConfig((0.0, 1.0), 100, 1.0, 0.0, 5))
+
+    assert ModeIndex(1, "V").polarization is Polarization.V
+    assert ModeIndex(1, "V") == ModeIndex(1, Polarization.V)
+    with pytest.raises(ValueError, match=r"^outcome probabilities sum to 1\.125, expected 1$"):
+        CoincidenceRecord(0.5, 0.125, 0.125, 0.25, 0.125)
