@@ -2,8 +2,8 @@
 
 Simulates the direct measurement of Renyi-2 entropy of bipartite polarization
 states: two-copy collision probabilities, an entropic entanglement witness, a
-CHSH baseline, a bosonic model of the four-photon source, and a stochastic
-experiment emulator with curve fitting.
+CHSH baseline, the four-photon source's outcome curves in closed form, and a
+stochastic experiment emulator with curve fitting.
 
 Each public name is listed once, under the module that defines it, and that
 module is imported on first access (PEP 562), so `import renyi2` loads
@@ -25,12 +25,6 @@ _EXPORTS = {
     ),
     "chsh": ("CorrelationMatrix", "KERNEL_BACKEND", "correlation_matrix", "max_chsh", "max_chsh_values"),
     "fock": ("coincidence_curves", "outcome_curves"),
-    "_fock_network": (
-        "CoincidenceRecord", "FockState", "ModeIndex", "OutcomeClass", "Polarization", "apply_creation",
-        "beam_splitter", "classify_outcome", "coincidence_probabilities",
-        "conditional_state_after_anticoalescence", "hamiltonian_expansion", "hamiltonian_four_photon_term",
-        "spdc_four_photon_state", "vacuum",
-    ),
     "experiment": (
         "FitResult", "RunConfig", "estimate_probabilities", "fit_interference", "simulate_counts",
         "witness_from_run",

@@ -1,10 +1,9 @@
 """Ideal outcome curves of the four-photon interference experiment.
 
-The source state, the two analysis beam splitters and the outcome taxonomy
-are modelled in Fock space by the network in renyi2._fock_network. Every
-curve it gives is a + b cos 2 phi with rational constants, evaluated here, so
-no production path builds a Fock state. The package exports the network's
-public names from that module (renyi2.FockState), not from this one.
+Every curve is a + b cos 2 phi with rational constants, evaluated here in
+closed form. The Fock-space network that derives them (the source state, the
+two analysis beam splitters and the outcome taxonomy) is a test oracle,
+tests/fock_network.py, and not part of the package.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ CHANNELS = ("cc", "ca", "ac", "aa", "other")
 #
 #     p_c(phi) = tr G_c + 2 G_c[0, 2] cos 2 phi
 #
-# with the rational constants below. The Fock network of renyi2._fock_network
+# with the rational constants below. The Fock network of tests/fock_network.py
 # is their derivation; the tests rebuild G_c from it and check these numbers.
 # cos 2 phi is taken as Re (e^{i phi})^2, which stays finite for every finite
 # phi, where 2 phi itself overflows near phi = 9e307.

@@ -1,8 +1,8 @@
 """Bosonic Fock-space model of the four-photon interference experiment.
 
 The network that derives the closed-form outcome curves of renyi2.fock, kept
-as their oracle. No production path runs it: the package exports its public
-names from here and imports this module on first use of one of them.
+beside oracles.py as their test oracle. The package neither contains nor
+exports it; the tests rebuild renyi2.fock's curve constants from it.
 
 Eight optical modes: four spatial ports (1, 2 feed side A; 3, 4 feed side B)
 with two polarizations each. Occupation vectors are 8-tuples in the flat order

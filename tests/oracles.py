@@ -12,7 +12,7 @@ import numpy as np
 
 from renyi2.chsh import PAULI, correlation_matrix
 from renyi2.experiment import CHANNELS, outcome_distributions
-from renyi2._fock_network import (
+from fock_network import (
     DEFAULT_CAP,
     FockState,
     OutcomeClass,

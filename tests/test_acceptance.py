@@ -15,7 +15,7 @@ import pytest
 
 from renyi2.chsh import max_chsh
 from renyi2.experiment import RunConfig, witness_from_run
-from renyi2._fock_network import (
+from fock_network import (
     DEFAULT_CAP,
     FockState,
     conditional_state_after_anticoalescence,

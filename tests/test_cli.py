@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -956,7 +957,7 @@ for name in renyi2.__all__:
 print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(renyi2.__all__)]))
 """
     wrong, undisclosed, n = json.loads(run_fresh("-c", code).stdout)
-    assert wrong == [] and undisclosed == [] and n == 47  # 46 names and __version__
+    assert wrong == [] and undisclosed == [] and n == 33  # 32 names and __version__
 
 
 # runs purity and simulate (which loads numpy.random) through the console-script
@@ -1013,7 +1014,7 @@ def test_entry_freezes_the_collector_and_runs_numpy_random_without_openssl():
     assert probe["hashlib_blocked"] and probe["sha256"] == RENYI2_SHA256
 
 
-def test_cli_import_leaves_the_environment_and_the_fock_network_alone(tmp_path):
+def test_cli_import_leaves_the_environment_alone(tmp_path):
     config = write_config(tmp_path / "run.json", shots_per_phase=1000)
     code = f"""
 import contextlib, gc, io, json, os, sys
@@ -1021,34 +1022,19 @@ before = dict(os.environ)
 import renyi2.cli
 with contextlib.redirect_stdout(io.StringIO()):
     status = renyi2.cli.main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
-print(json.dumps([status, dict(os.environ) == before, "renyi2._fock_network" in sys.modules,
-                  "numpy.random" in sys.modules, gc.isenabled(), gc.get_freeze_count(),
-                  sys.modules.get("_hashlib", 0) is None]))
+print(json.dumps([status, dict(os.environ) == before, "numpy.random" in sys.modules, gc.isenabled(),
+                  gc.get_freeze_count(), sys.modules.get("_hashlib", 0) is None]))
 """
     proc = run_fresh("-c", code, env={"OPENBLAS_NUM_THREADS": None})
-    assert json.loads(proc.stdout) == [0, True, False, True, True, 0, False]
+    assert json.loads(proc.stdout) == [0, True, True, True, 0, False]
 
 
-def test_fock_attribute_probe_leaves_the_network_unloaded():
-    # the benchmark calls hasattr(obj, "cache_clear") on every attribute of every renyi2 module
-    code = (
-        "import json, sys, renyi2.fock as fock; "
-        "print(json.dumps([hasattr(fock, 'cache_clear'), 'renyi2._fock_network' in sys.modules]))"
-    )
-    assert json.loads(run_fresh("-c", code).stdout) == [False, False]
-
-
-def test_phase_scan_and_simulate_never_import_the_fock_network(tmp_path):
-    config = write_config(tmp_path / "run.json", shots_per_phase=1000)
-    code = f"""
-import contextlib, io, json, sys
-import renyi2.__main__ as entry
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [entry.main(["phase-scan", "--format", "json"]),
-             entry.main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])]
-print(json.dumps([codes, "renyi2._fock_network" in sys.modules]))
-"""
-    assert json.loads(run_fresh("-c", code).stdout) == [[0, 0], False]
+# the public names of the Fock network oracle, tests/fock_network.py
+NETWORK_NAMES = (
+    "CoincidenceRecord", "FockState", "ModeIndex", "OutcomeClass", "Polarization", "apply_creation",
+    "beam_splitter", "classify_outcome", "coincidence_probabilities", "conditional_state_after_anticoalescence",
+    "hamiltonian_expansion", "hamiltonian_four_photon_term", "spdc_four_photon_state", "vacuum",
+)
 
 
 def test_unknown_package_attribute_raises_attribute_error():
@@ -1056,8 +1042,10 @@ def test_unknown_package_attribute_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         renyi2.no_such_name
-    # the test oracles left the package surface
+    # the test oracles left the package surface, the Fock network with its module
     assert not hasattr(renyi2, "projectors") and not hasattr(renyi2, "ProjectorPair")
+    assert importlib.util.find_spec("renyi2._fock_network") is None
+    assert not [name for name in NETWORK_NAMES if hasattr(renyi2, name)]
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "purity"])

@@ -1,13 +1,16 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import renyi2
-import renyi2._fock_network as _fock_network
-import renyi2.fock as fock
-from renyi2._fock_network import (
+from renyi2.fock import CHANNELS, CURVE_AMPLITUDES, CURVE_OFFSETS, coincidence_curves, outcome_curves
+from renyi2.qstate import SINGLET_VEC
+
+import fock_network
+from fock_network import (
     DEFAULT_CAP,
     CoincidenceRecord,
     FockState,
@@ -29,9 +32,6 @@ from renyi2._fock_network import (
     _pair,
     _VACUUM_KEY,
 )
-from renyi2.fock import CHANNELS, CURVE_AMPLITUDES, CURVE_OFFSETS, coincidence_curves, outcome_curves
-from renyi2.qstate import SINGLET_VEC
-
 from oracles import _check_phase_gram, phase_gram
 
 PI = np.pi
@@ -523,18 +523,6 @@ def test_curve_constants_are_read_only():
             const[0] = 1.0
 
 
-def test_outcome_curves_build_no_fock_state(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Fock network ran")
-
-    for name in ("FockState", "spdc_four_photon_state", "beam_splitter", "_bs_pair", "_shift",
-                 "coincidence_probabilities"):
-        monkeypatch.setattr(_fock_network, name, refuse)
-    rows = outcome_curves(np.linspace(0.0, PI, 5))
-    assert rows.shape == (5, 5)
-    assert len(coincidence_curves([0.0, 1.0])) == 2
-
-
 def _defined_names(module):
     """Names bound at the top level of a module's source by def, class or assignment."""
     names = []
@@ -547,27 +535,16 @@ def _defined_names(module):
 
 
 def test_network_table_lists_exactly_the_names_the_network_defines():
-    defined = _defined_names(_fock_network)
-    # the package exports every public class and function of the network, listed under it
-    public = [name for name in defined if not name.startswith("_") and not name.isupper()]
-    assert sorted(renyi2._EXPORTS["_fock_network"]) == sorted(public) and len(set(defined)) == len(defined)
-    # renyi2.fock binds none of them, so the package reaches the network in one hop
-    assert not set(defined) & set(vars(fock))
+    # the oracle binds each of its names once, and the package's export table lists none of them
+    defined = _defined_names(fock_network)
+    assert len(set(defined)) == len(defined) and not set(defined) & set(renyi2._LAYER)
 
 
-@pytest.mark.parametrize("name", _defined_names(_fock_network))
+@pytest.mark.parametrize("name", _defined_names(fock_network))
 def test_network_names_resolve_to_the_network_objects(name):
-    # the network serves each of its names, the package serves the public ones, renyi2.fock none
-    assert not hasattr(fock, name)
-    if name in renyi2._LAYER:
-        namespace = {}
-        exec(f"from renyi2 import {name}", namespace)
-        assert namespace[name] is getattr(_fock_network, name) and name in dir(renyi2)
-
-
-def test_unknown_fock_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        fock.no_such_name
+    # the oracle serves each of its names, and no layer of the package binds one
+    assert hasattr(fock_network, name)
+    assert not [layer for layer in renyi2._EXPORTS if hasattr(importlib.import_module(f"renyi2.{layer}"), name)]
 
 
 def test_outcome_classes_follow_the_channels():

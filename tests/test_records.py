@@ -1,4 +1,4 @@
-"""The contract of the nine public records.
+"""The contract of the seven public records and the Fock network oracle's two.
 
 Each record takes its fields positionally or by keyword, refuses assignment
 and deletion, rebuilds through pickle and copy.deepcopy, prints as
@@ -13,7 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from renyi2._fock_network import CoincidenceRecord, ModeIndex, Polarization
+from fock_network import CoincidenceRecord, ModeIndex, Polarization
 from renyi2.chsh import CorrelationMatrix
 from renyi2.experiment import ChannelEstimate, FitResult, RunConfig
 from renyi2.qstate import DensityOperator, SINGLET_VEC
