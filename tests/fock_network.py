@@ -29,7 +29,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from renyi2.fock import CHANNELS
-from renyi2.qstate import DensityOperator, _Record, _numbers
+from renyi2.qstate import DensityOperator, _COUNT, _Record, _integer, _numbers
 
 NORM_TOL = 1e-10
 DEFAULT_CAP = 4
@@ -80,8 +80,7 @@ class FockState:
     __slots__ = ("amplitudes", "normalized", "cap")
 
     def __init__(self, amplitudes: dict, normalized: bool = True, cap: int = DEFAULT_CAP):
-        if cap < 1:
-            raise ValueError(f"photon cap must be positive, got {cap}")
+        cap = _integer("photon cap", cap, *_COUNT)
         amps: dict[tuple[int, ...], complex] = {}
         for occ, amp in amplitudes.items():
             occ = tuple(int(n) for n in occ)
@@ -217,8 +216,7 @@ def hamiltonian_expansion(phi: float, order: int, cap: int = DEFAULT_CAP) -> Foc
 
     Unnormalized; kets beyond the photon cap are dropped during expansion.
     """
-    if order < 0:
-        raise ValueError(f"expansion order must be non-negative, got {order}")
+    order = _integer("expansion order", order, 0, _COUNT[1], "a non-negative integer below 2**63")
     total = {_VACUUM_KEY: 1.0 + 0j}
     term = {_VACUUM_KEY: 1.0 + 0j}
     for k in range(1, order + 1):
@@ -240,8 +238,8 @@ def hamiltonian_four_photon_term(
     above-cap intermediates that the truncation silently removes, so those
     orders are rejected instead of returning a subtly wrong sector.
     """
-    if order < 2:
-        raise ValueError(f"expansion order must be at least 2, got {order}")
+    order = _integer("expansion order", order, 2, _COUNT[1], "an integer of at least 2, below 2**63")
+    cap = _integer("photon cap", cap, *_COUNT)
     if order > cap // 2 + 1:
         raise ValueError(
             f"photon cap {cap} exceeded at order {order}: the four-photon sector "

@@ -96,10 +96,30 @@ def test_fock_state_validation():
     "call, message",
     [
         (lambda: ModeIndex(1, 0), "^polarization must be H or V, got 0$"),
-        (lambda: FockState({_VACUUM_KEY: 1.0}, cap=0), "^photon cap must be positive, got 0$"),
+        (lambda: FockState({_VACUUM_KEY: 1.0}, cap=0), r"^photon cap must be a positive integer below 2\*\*63, got 0$"),
+        (
+            lambda: FockState({_VACUUM_KEY: 1.0}, cap=2.5),
+            r"^photon cap must be a positive integer below 2\*\*63, got 2.5$",
+        ),
+        (lambda: FockState({_VACUUM_KEY: 1.0}, cap=True), "^photon cap must be a number, got True$"),
+        (lambda: FockState({(5, 0, 0, 0, 0, 0, 0, 0): 1.0}, cap=np.nan), "^photon cap must be finite, got nan$"),
+        (lambda: FockState({(5, 0, 0, 0, 0, 0, 0, 0): 1.0}, cap=np.inf), "^photon cap must be finite, got inf$"),
+        (lambda: hamiltonian_four_photon_term(0.0, 2, cap=np.nan), "^photon cap must be finite, got nan$"),
         (lambda: FockState({(0, 0): 1.0}), r"^occupation vector must have 8 entries, got \(0, 0\)$"),
         (lambda: FockState({}, normalized=False).to_normalized(), "^cannot normalize the zero state$"),
-        (lambda: hamiltonian_expansion(0.3, -1), "^expansion order must be non-negative, got -1$"),
+        (
+            lambda: hamiltonian_expansion(0.3, -1),
+            r"^expansion order must be a non-negative integer below 2\*\*63, got -1$",
+        ),
+        (
+            lambda: hamiltonian_expansion(0.0, 2.5),
+            r"^expansion order must be a non-negative integer below 2\*\*63, got 2.5$",
+        ),
+        (lambda: hamiltonian_expansion(0.0, True), "^expansion order must be a number, got True$"),
+        (
+            lambda: hamiltonian_four_photon_term(0.0, 1),
+            r"^expansion order must be an integer of at least 2, below 2\*\*63, got 1$",
+        ),
         (lambda: beam_splitter(vacuum(), 1, 5), "^spatial index must be 1..4, got 5$"),
         (lambda: beam_splitter(vacuum(), 1, 2, "lossy"), "^unknown beam-splitter convention 'lossy'$"),
         (lambda: classify_outcome((1, 1, 1, 1)), r"^pattern must have 8 entries, got \(1, 1, 1, 1\)$"),
@@ -117,7 +137,9 @@ def test_fock_state_validation():
         ),
     ],
     ids=[
-        "mode-polarization-type", "state-cap", "state-length", "normalize-zero", "expansion-order",
+        "mode-polarization-type", "state-cap", "state-cap-fraction", "state-cap-bool", "state-cap-nan",
+        "state-cap-inf", "four-photon-cap-nan", "state-length", "normalize-zero", "expansion-order",
+        "expansion-order-fraction", "expansion-order-bool", "four-photon-order",
         "splitter-port", "splitter-convention", "pattern-length", "record-negative",
         "coincidence-unnormalized", "conditioning-unnormalized",
     ],
