@@ -347,6 +347,32 @@ def test_simulate_writes_deterministic_outputs(capsys, tmp_path):
     assert all(sum(r[1:]) == 2000 for r in rows)
 
 
+@settings(max_examples=50)
+@given(
+    n=st.integers(4, 40),
+    lo=st.floats(-2 * PI, 2 * PI),
+    span=st.floats(PI / 2, 2 * PI),
+    shots=st.integers(10, 10**5),
+    seed=st.integers(0, 2**63 - 1),
+    detector_model=st.sampled_from(["number_resolving", "bucket_with_pbs"]),
+)
+def test_counts_csv_reads_back_as_the_reports_count_rows(n, lo, span, shots, seed, detector_model):
+    # the table a run writes is the one it analysed: counts.csv, read with float for phi and
+    # int for the counts, gives report.json's count rows and the config's phases exactly
+    raw = {
+        "phi_grid": np.linspace(lo, lo + span, n).tolist(), "shots_per_phase": shots, "seed": seed,
+        "detector_model": detector_model,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_simulate(raw, tmp) == (0, "")
+        lines = (Path(tmp) / "o" / "counts.csv").read_text().splitlines()
+        report = json.loads((Path(tmp) / "o" / "report.json").read_text())
+    header = lines[0].split(",")
+    rows = [(float(phi), *map(int, counts)) for phi, *counts in (line.split(",") for line in lines[1:])]
+    assert rows == [tuple(row[key] for key in header) for row in report["counts"]]
+    assert [row[0] for row in rows] == raw["phi_grid"]
+
+
 def test_simulate_seed_flag_overrides_config(capsys, tmp_path):
     cfg = write_config(tmp_path / "run.json")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
