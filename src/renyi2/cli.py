@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -75,37 +75,47 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _json_numbers(values) -> list:
+    """Each number as json writes it, its repr; NaN and inf refused, as JSON cannot represent them."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("a table value is not finite, which JSON cannot represent")
+    return list(map(repr, values))
+
+
 def _table(keys, rows, fmt: str) -> str:
     """Rows of Python floats and ints, one cell per key, as "csv" or "json".
 
+    The rows are transposed once, and each column is formatted in one pass.
     CSV is a header line, then floats through _fmt and ints through str.
-    JSON is byte for byte _canonical_json of the rows as dicts, NaN and inf
-    refused alike, but each row is written from one template of repr cells
-    (json writes Python numbers as repr): json.dumps falls back to its
-    pure-Python encoder whenever it indents.
+    JSON is byte for byte _canonical_json of the rows as dicts, but written
+    from _json_numbers cells: json.dumps falls back to its pure-Python
+    encoder whenever it indents. Each row is its cells interleaved, through
+    zip and repeat, with the fixed text between them, members in sorted key
+    order.
     """
+    columns = list(zip(*rows)) or [()] * len(keys)
     if fmt == "csv":
-        lines = [",".join(keys)]
-        lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    rows = list(rows)
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise ValueError("a table value is not finite, which JSON cannot represent")
-    members = (
-        json.dumps(keys[i]).replace("{", "{{").replace("}", "}}") + f": {{{i}!r}}"
-        for i in sorted(range(len(keys)), key=keys.__getitem__)
-    )
-    template = "  {{\n    " + ",\n    ".join(members) + "\n  }}"
-    body = ",\n".join(template.format(*row) for row in rows)
+        cells = [[_fmt(v) if isinstance(v, float) else str(v) for v in column] for column in columns]
+        return "\n".join([",".join(keys), *map(",".join, zip(*cells))]) + "\n"
+    parts, lead = [], "  {\n    "
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        parts += repeat(f"{lead}{json.dumps(keys[i])}: "), _json_numbers(columns[i])
+        lead = ",\n    "
+    body = ",\n".join(map("".join, zip(*parts, repeat("\n  }"))))
     return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def _report_json(report: dict) -> str:
-    """_canonical_json(report), with the count-row tuples written by _table as objects."""
-    text = _canonical_json({**report, "counts": []})
-    head, _, tail = text.partition('\n  "counts": [],\n')
+    """_canonical_json(report), with config.phi_grid written from _json_numbers cells and the
+    count-row tuples written by _table as objects."""
+    config = report["config"]
+    text = _canonical_json({**report, "config": {**config, "phi_grid": []}, "counts": []})
+    head, _, rest = text.partition('\n    "phi_grid": [],\n')
+    middle, _, tail = rest.partition('\n  "counts": [],\n')
+    phases = ",\n      ".join(_json_numbers(config["phi_grid"]))
+    grid = f"[\n      {phases}\n    ]" if phases else "[]"
     counts = _table(experiment._COUNT_FIELDS, report["counts"], "json").rstrip().replace("\n", "\n  ")
-    return f'{head}\n  "counts": {counts},\n{tail}'
+    return f'{head}\n    "phi_grid": {grid},\n{middle}\n  "counts": {counts},\n{tail}'
 
 
 def _emit(text: str, out_path) -> None:

@@ -5,8 +5,10 @@ outcome distribution into one int64 table, estimate_probabilities converts
 it to proportion estimates held as read-only arrays (including the
 bucket-detector factor-2 correction), fit_interference(phi, y, sigma)
 performs the weighted cosine fit with the period fixed at pi on three 1-D
-arrays of one length, and witness_from_run strings the stages into a
-JSON-ready report whose counts are rows in _COUNT_FIELDS order.
+arrays of one length, and analyze_counts strings the estimate, the fits
+and the witness test into a JSON-ready report of one count table, whose
+counts are rows in _COUNT_FIELDS order. witness_from_run is analyze_counts
+of simulate_counts.
 """
 
 import math
@@ -120,22 +122,24 @@ def simulate_counts(config: RunConfig) -> np.ndarray:
     deterministic for a fixed seed.
 
     Row k is drawn from its own stream, default_rng([seed, k]), so it does
-    not depend on the rest of the grid.
+    not depend on the rest of the grid: one multinomial draw, then under
+    bucket_with_pbs one binomial draw per coalescence channel (cc, ca, ac)
+    whose losses move to `other`. The drawn rows become the table in one
+    np.array call.
     """
     probs = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
-    table = np.empty(probs.shape, dtype=np.int64)
     shots = config.shots_per_phase
-    bucket = config.detector_model == "bucket_with_pbs"
-    generators = _phase_generators(config.seed, len(probs))
-    for k, (rng, row) in enumerate(zip(generators, probs)):
-        counts = rng.multinomial(shots, row)
-        if bucket:
-            # three scalar draws take the same stream as one broadcast draw, in a third of the time
-            *coalesced, n_aa, n_other = counts.tolist()
-            kept = [rng.binomial(n, p) for n, p in zip(coalesced, _BUCKET_KEEP)]
-            counts = (*kept, n_aa, n_other + sum(coalesced) - sum(kept))
-        table[k] = counts
-    return table
+    draws = zip(_phase_generators(config.seed, len(probs)), probs)
+    if config.detector_model == "number_resolving":
+        return np.array([rng.multinomial(shots, row) for rng, row in draws], dtype=np.int64)
+    keep_cc, keep_ca, keep_ac = _BUCKET_KEEP
+    rows = []
+    for rng, row in draws:
+        # three scalar draws take the same stream as one broadcast draw, in a third of the time
+        n_cc, n_ca, n_ac, n_aa, n_other = rng.multinomial(shots, row).tolist()
+        k_cc, k_ca, k_ac = rng.binomial(n_cc, keep_cc), rng.binomial(n_ca, keep_ca), rng.binomial(n_ac, keep_ac)
+        rows.append((k_cc, k_ca, k_ac, n_aa, n_other + (n_cc - k_cc) + (n_ca - k_ca) + (n_ac - k_ac)))
+    return np.array(rows, dtype=np.int64)
 
 
 def _phase_generators(seed: int, n: int):
@@ -223,8 +227,11 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     Every channel is estimated in one pass over the table; each estimate
     holds its channel's columns.
     """
-    factors = _correction_factors(detector_model)
-    phi, table, n_total = _validated_counts(phi_grid, counts)
+    return _estimates(*_validated_counts(phi_grid, counts), _correction_factors(detector_model))
+
+
+def _estimates(phi: np.ndarray, table: np.ndarray, n_total: np.ndarray, factors: np.ndarray) -> dict:
+    """estimate_probabilities on the arrays _validated_counts returns."""
     n_total = n_total[:, None]
     q = table / n_total
     value = factors * q
@@ -374,19 +381,27 @@ def fit_interference(phi, y, sigma) -> FitResult:
 
 
 def witness_from_run(config: RunConfig) -> dict:
-    """Full pipeline: simulate, estimate, fit p_ac and p_aa, test the witness.
+    """Full pipeline: simulate the run's counts, then analyze_counts."""
+    return analyze_counts(config, simulate_counts(config))
 
-    The report's `fits` section is on the raw outcome scale. The witness
-    section divides the fitted minima by the singlet component weight so the
-    values compare against the two-copy probabilities of the conditioned
-    singlet pair, and calls a violation only beyond MIN_SIGNIFICANCE. The
-    `counts` section is one tuple per phase, in _COUNT_FIELDS order.
+
+def analyze_counts(config: RunConfig, table) -> dict:
+    """The report of an event table under config: estimate, fit p_ac and p_aa, test the witness.
+
+    table is read as estimate_probabilities reads its counts, one row per
+    entry of config.phi_grid. The fit weights are the binomial standard errors
+    at (n + 1/2)/(N + 1) rather than at the estimate n/N, so that a cell
+    whose count is 0 or N keeps a finite weight. The report's `fits` section
+    is on the raw outcome scale. The witness section divides the fitted
+    minima by the singlet component weight so the values compare against the
+    two-copy probabilities of the conditioned singlet pair, and calls a
+    violation only beyond MIN_SIGNIFICANCE. The `counts` section is one tuple
+    per phase, in _COUNT_FIELDS order.
     """
-    table = simulate_counts(config)
-    estimates = estimate_probabilities(config.phi_grid, table, config.detector_model)
-    # fit weights: the binomial stderr at (n + 1/2)/(N + 1), finite where a count is 0 or N
-    n_total = table.sum(axis=1)[:, None]
     factors = _correction_factors(config.detector_model)
+    phi, table, n_total = _validated_counts(config.phi_grid, table)
+    estimates = _estimates(phi, table, n_total, factors)
+    n_total = n_total[:, None]
     sigma = _binomial_stderr((table + 0.5) / (n_total + 1.0), n_total, factors)
     fits = {
         ch: fit_interference(estimates[ch].phi, estimates[ch].value, sigma[:, CHANNELS.index(ch)])

@@ -49,8 +49,7 @@ class ModeIndex(_Record, eq=True):
     __slots__ = ("spatial", "polarization")
 
     def __init__(self, spatial: int, polarization: Polarization):
-        if spatial not in (1, 2, 3, 4):
-            raise ValueError(f"spatial index must be 1..4, got {spatial}")
+        spatial = _integer("spatial index", spatial, 1, 4, "1..4")
         if isinstance(polarization, str):
             try:
                 polarization = Polarization[polarization]

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from renyi2 import cli
 from renyi2.cli import _canonical_json, _report_json, main
-from renyi2.experiment import MAX_GRID_POINTS, MAX_SHOTS, RunConfig, witness_from_run
+from renyi2.experiment import MAX_GRID_POINTS, MAX_SHOTS, RunConfig, analyze_counts, witness_from_run
 from renyi2.qstate import random_density
 
 PI = np.pi
@@ -371,6 +371,29 @@ def test_counts_csv_reads_back_as_the_reports_count_rows(n, lo, span, shots, see
     rows = [(float(phi), *map(int, counts)) for phi, *counts in (line.split(",") for line in lines[1:])]
     assert rows == [tuple(row[key] for key in header) for row in report["counts"]]
     assert [row[0] for row in rows] == raw["phi_grid"]
+
+
+@settings(max_examples=50)
+@given(
+    phi_grid=st.lists(st.floats(-1.0, 2.5), min_size=17, max_size=36),
+    shots=st.integers(10**2, 10**5),
+    seed=st.integers(0, 2**64 - 1),
+    detector_model=st.sampled_from(["number_resolving", "bucket_with_pbs"]),
+)
+def test_report_json_is_the_analysis_of_counts_csv(phi_grid, shots, seed, detector_model):
+    # analysing the written counts.csv again, under the config with the read-back phases,
+    # writes report.json byte for byte: the report is a function of the counts and the config
+    raw = {"phi_grid": phi_grid, "shots_per_phase": shots, "seed": seed, "detector_model": detector_model}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_simulate(raw, tmp)
+        # a grid the fit refuses (too narrow a span, too few distinct phases) writes no report
+        assume(code == 0)
+        assert err == ""
+        lines = (Path(tmp) / "o" / "counts.csv").read_text().splitlines()
+        report = (Path(tmp) / "o" / "report.json").read_text()
+    rows = [(float(phi), *map(int, counts)) for phi, *counts in (line.split(",") for line in lines[1:])]
+    config = RunConfig(**{**raw, "phi_grid": [row[0] for row in rows]})
+    assert _report_json(analyze_counts(config, [row[1:] for row in rows])) == report
 
 
 def test_simulate_seed_flag_overrides_config(capsys, tmp_path):
@@ -772,31 +795,39 @@ def _sample_report():
     return witness_from_run(RunConfig(phi_grid=tuple(np.linspace(0.0, PI, 5)), shots_per_phase=100, seed=3))
 
 
-def _report_with_counts(counts):
-    return {**_sample_report(), "counts": counts}
+def _report_with(phi_grid, counts):
+    sample = _sample_report()
+    return {**sample, "config": {**sample["config"], "phi_grid": phi_grid}, "counts": counts}
 
 
 def _count_row(phi, n_cc, n_ca, n_ac, n_aa, n_other):
     return {"phi": phi, "n_cc": n_cc, "n_ca": n_ca, "n_ac": n_ac, "n_aa": n_aa, "n_other": n_other}
 
 
-@settings(max_examples=100)
-@given(st.lists(
-    st.builds(
-        _count_row,
-        st.floats(allow_nan=False, allow_infinity=False),
-        *[st.integers(0, MAX_SHOTS)] * 5,
-    ),
-    min_size=1, max_size=5,
-))
-@example([
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_COUNTS = [
     _count_row(-0.0, 0, MAX_SHOTS, 0, 0, 0),
     _count_row(5e-324, MAX_SHOTS, 0, 1, 2, 3),
     _count_row(1e300, 0, 0, 0, 0, MAX_SHOTS),
-])
-def test_report_template_matches_canonical_json(counts):
+]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(FINITE, min_size=1, max_size=5),
+    st.lists(st.builds(_count_row, FINITE, *[st.integers(0, MAX_SHOTS)] * 5), min_size=1, max_size=5),
+)
+@example([2.5], EDGE_COUNTS)
+@example([-0.0, 5e-324, 1e300], EDGE_COUNTS)
+def test_report_template_matches_canonical_json(phi_grid, counts):
     rows = [tuple(row.values()) for row in counts]
-    assert _report_json(_report_with_counts(rows)) == _canonical_json(_report_with_counts(counts))
+    assert _report_json(_report_with(phi_grid, rows)) == _canonical_json(_report_with(phi_grid, counts))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_refuses_a_non_finite_phase(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        _report_json(_report_with([0.0, bad], []))
 
 
 # -- table writer ------------------------------------------------------------------

@@ -77,6 +77,15 @@ def test_mode_index_validation():
         ModeIndex(1, "D")
 
 
+def test_mode_index_reads_spatial_as_an_integer():
+    flat = ModeIndex(1.0, "H").flat
+    assert flat == 0 and type(flat) is int
+    with pytest.raises(ValueError, match="^spatial index must be a number, got True$"):
+        ModeIndex(True, "H")
+    with pytest.raises(ValueError, match="^spatial index must be 1..4, got 2.5$"):
+        ModeIndex(2.5, "H")
+
+
 def test_fock_state_validation():
     with pytest.raises(ValueError, match="not normalized"):
         FockState({_VACUUM_KEY: 0.5})
