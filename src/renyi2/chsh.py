@@ -36,9 +36,7 @@ class CorrelationMatrix(_Record):
     __slots__ = ("t",)
 
     def __init__(self, t: np.ndarray):
-        t = _numbers("correlation matrix t", t, float)
-        if t.shape != (3, 3):
-            raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
+        t = _numbers("correlation matrix t", t, float, (3, 3))
         _check_correlations(t[None], stacked=False)
         t.setflags(write=False)
         self._fill(t)

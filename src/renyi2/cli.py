@@ -159,9 +159,7 @@ def _load_matrix_file(path: str) -> DensityOperator:
         dim_a, dim_b = data["dim_a"], data["dim_b"]
         # every entry is read (a number e as [e, 0], or an [re, im] pair) before make_density reads the dimensions
         pairs = [[e if isinstance(e, list) else [e, 0] for e in row] for row in data["matrix"]]
-        table = _numbers("matrix entries", pairs, float)
-        if table.ndim != 3 or table.shape[2] != 2:
-            raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got shape {table.shape}")
+        table = _numbers("matrix entries", pairs, float, (None, None, 2))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
     except ValueError as exc:

@@ -12,7 +12,6 @@ of simulate_counts.
 """
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -74,14 +73,7 @@ class RunConfig(_Record, eq=True):
         self, phi_grid: tuple, shots_per_phase: int, visibility: float = 1.0, background_rate: float = 0.0,
         seed: int = 0, detector_model: str = "number_resolving",
     ):
-        grid = phi_grid
-        # a 0-d array has __iter__, but iterating it raises TypeError
-        if isinstance(grid, (str, bytes, dict)) or not hasattr(grid, "__iter__") or getattr(grid, "ndim", 1) == 0:
-            raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
-        # one entry past the limit is enough to refuse the grid
-        phases = _numbers("phi_grid entry", list(islice(grid, MAX_GRID_POINTS + 1)), float)
-        if phases.ndim != 1:
-            raise ValueError(f"phi_grid must be a sequence of numbers, got {grid!r}")
+        phases = _numbers("phi_grid", phi_grid, float, (None,))
         if not len(phases):
             raise ValueError("phi_grid is empty")
         if len(phases) > MAX_GRID_POINTS:
@@ -244,16 +236,12 @@ def _estimates(phi: np.ndarray, table: np.ndarray, n_total: np.ndarray, factors:
 
 def _validated_counts(phi_grid, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(float64 copy of phases, int64 table, row totals); ValueError naming the first fault."""
-    phi = _numbers("phi", phi_grid, float)
-    if phi.ndim != 1 or phi.size == 0:
-        raise ValueError(f"phi_grid must be a non-empty sequence of phases, got shape {phi.shape}")
+    phi = _numbers("phi", phi_grid, float, (None,))
+    if not phi.size:
+        raise ValueError("phi_grid is empty")
     # a count above MAX_SHOTS turns negative in int64, and so does the first
     # partial sum of a row whose total passes MAX_SHOTS
-    table = _numbers("counts", counts, np.int64)
-    if table.shape != (phi.size, len(CHANNELS)):
-        raise ValueError(
-            f"counts must be a ({phi.size}, {len(CHANNELS)}) table, one row per phase, got shape {table.shape}"
-        )
+    table = _numbers("counts", counts, np.int64, (phi.size, len(CHANNELS)))
     _require_all(
         table.ravel() >= 0,
         lambda k: f"n_{CHANNELS[k % len(CHANNELS)]} must be a non-negative integer no larger than {MAX_SHOTS}, "
@@ -315,12 +303,8 @@ def fit_interference(phi, y, sigma) -> FitResult:
     Minima are listed within the scanned phase range (the principal one in
     [0, pi) when the range contains none), all at value offset - amplitude.
     """
-    phi, y = _numbers("phi", phi, float), _numbers("y", y, float)
-    sigma = _numbers("sigma", sigma, float, stacked=True)
-    if phi.ndim != 1 or y.shape != phi.shape or sigma.shape != phi.shape:
-        raise ValueError(
-            f"phi, y and sigma must be 1-D arrays of one length, got shapes {phi.shape}, {y.shape}, {sigma.shape}"
-        )
+    sigma = _numbers("sigma", sigma, float, (None,))
+    phi, y = _numbers("phi", phi, float, sigma.shape), _numbers("y", y, float, sigma.shape)
     if len(phi) < 4:
         raise ValueError(f"need at least 4 points, got {len(phi)}")
     _require_all(sigma > 0.0, lambda i: f"sigma must be positive, got {sigma[i]}", stacked=True)

@@ -38,7 +38,7 @@ CURVE_AMPLITUDES.setflags(write=False)
 
 def outcome_curves(phi_grid) -> np.ndarray:
     """Ideal probabilities of (cc, ca, ac, aa, other), one row per phase."""
-    phi = _numbers("phi", phi_grid, float).reshape(-1)
+    phi = _numbers("phi", phi_grid, float, (None,))
     if phi.size == 0:
         raise ValueError("phase grid is empty")
     cos2 = (np.exp(1j * phi) ** 2).real
@@ -51,6 +51,6 @@ _CURVE_FIELDS = ("phi",) + tuple(f"p_{ch}" for ch in CHANNELS if ch != "other")
 
 def coincidence_curves(phi_grid) -> list[tuple[float, float, float, float, float]]:
     """Rows (phi, p_cc, p_ca, p_ac, p_aa) of the source state's outcome curves."""
-    phi = _numbers("phi", phi_grid, float).reshape(-1)
+    phi = _numbers("phi", phi_grid, float, (None,))
     return list(zip(phi.tolist(), *outcome_curves(phi)[:, :-1].T.tolist()))
 

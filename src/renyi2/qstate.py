@@ -34,10 +34,11 @@ def _require_all(ok, message, stacked: bool) -> None:
         raise ValueError(f"stack index {i}: {message(i)}" if stacked else message(i))
 
 
-def _numbers(name: str, values, dtype, stacked: bool = False) -> np.ndarray:
-    """values as a new array of dtype (float, complex or np.int64); ValueError naming the field unless an
-    ndarray's dtype, or each entry of a sequence as _finite judges a scalar (a bool is not a number), is of
-    that kind, the rows of a sequence stack, and every entry is finite (named by its member's index in a stack)."""
+def _numbers(name: str, values, dtype, shape: tuple) -> np.ndarray:
+    """values as a new array of dtype (float, complex or np.int64) and shape (lengths, None for any, 0 included);
+    ValueError naming the field unless an ndarray's dtype, or each entry of a sequence as _finite judges a scalar
+    (a bool is not a number), is of that kind, the rows of a sequence stack, the shape fits, and every entry is
+    finite. A free first axis is the member axis: a member with a non-finite entry is named by its index."""
     kinds, number = {float: ("iuf", Real), complex: ("iufc", Complex), np.int64: ("iu", Integral)}[dtype]
     what = "integers" if dtype is np.int64 else "a number"
     if not isinstance(values, np.ndarray):
@@ -56,7 +57,11 @@ def _numbers(name: str, values, dtype, stacked: bool = False) -> np.ndarray:
         values = values.astype(dtype)
     except OverflowError:  # a Python int beyond the dtype's range
         raise ValueError(f"{name} must be {what} within the {np.dtype(dtype)} range") from None
+    if values.ndim != len(shape) or not all(k in (None, n) for k, n in zip(shape, values.shape)):
+        want = str(tuple("n" if k is None else k for k in shape)).replace("'", "")
+        raise ValueError(f"{name} must form an array of shape {want}, got shape {values.shape}")
     # NaN passes any `x > tol`; the first non-finite entry in C order belongs to the first bad member
+    stacked = shape[:1] == (None,)
     a = values if stacked else values[None]
     ok = np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
     _require_all(ok, lambda i: f"{name} must be finite, got {a[~np.isfinite(a)][0]}", stacked)
@@ -102,14 +107,10 @@ def _dims(dim_a, dim_b) -> tuple[int, int]:
 
 
 def _stack(matrices, dim_a, dim_b, stacked: bool = True) -> tuple[np.ndarray, int, int]:
-    """(m, dim_a, dim_b): matrices read by _numbers as a complex (n, d, d) array, or (d, d) unless
-    stacked, with d = dim_a * dim_b and both dimensions read by _dims; ValueError for any other shape."""
+    """(m, dim_a, dim_b) read by _numbers and _dims: m complex (n, d, d), or (d, d) unless stacked; d = dim_a dim_b."""
     dim_a, dim_b = _dims(dim_a, dim_b)
-    m = _numbers("matrix", matrices, complex, stacked)
     d = dim_a * dim_b
-    if m.ndim != 2 + stacked or m.shape[-2:] != (d, d):
-        want = f"(n, {d}, {d})" if stacked else f"({d}, {d})"
-        raise ValueError(f"dimension mismatch: matrix shape {m.shape}, expected {want}")
+    m = _numbers("matrix", matrices, complex, (None, d, d) if stacked else (d, d))
     return m, dim_a, dim_b
 
 
@@ -252,9 +253,7 @@ def werner(p: float) -> DensityOperator:
 
 def werner_stack(ps) -> np.ndarray:
     """Validated (n, 4, 4) stack of the Werner states of a 1-D array of mixing parameters."""
-    ps = _numbers("mixing parameter", ps, float, stacked=True)
-    if ps.ndim != 1:
-        raise ValueError(f"mixing parameters must form a 1-D array, got shape {ps.shape}")
+    ps = _numbers("mixing parameter", ps, float, (None,))
     ok = (ps >= 0.0) & (ps <= 1.0)
     _require_all(ok, lambda i: f"mixing parameter must be in [0, 1], got {ps[i]}", stacked=True)
     return density_stack(_werner_matrices(ps), 2, 2)

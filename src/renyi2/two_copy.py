@@ -9,6 +9,7 @@ entanglement witness. Subscript order is (A, B): p_ca means the symmetric
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -29,8 +30,9 @@ class CollisionProbabilities(_Record, eq=True):
     __slots__ = ("p_cc", "p_ca", "p_ac", "p_aa")
 
     def __init__(self, p_cc: float, p_ca: float, p_ac: float, p_aa: float):
-        self._fill(p_cc, p_ca, p_ac, p_aa)
-        _check_quadruples(_numbers("collision probabilities", [self.as_tuple()], float), stacked=False)
+        q = _numbers("collision probabilities", (p_cc, p_ca, p_ac, p_aa), float, (4,))
+        _check_quadruples(q[None], stacked=False)
+        self._fill(*q.tolist())
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_cc, self.p_ca, self.p_ac, self.p_aa)
@@ -140,16 +142,14 @@ def _margin_significance(margin: float, s1: float, s2: float) -> float:
     with np.errstate(over="ignore"):
         denom = np.hypot(s1, s2)
         if denom == 0.0:
-            return 0.0 if margin == 0.0 else np.copysign(np.inf, margin)
+            return 0.0 if margin == 0.0 else math.copysign(math.inf, margin)
         return float(margin / denom)
 
 
 def witness_margins(quadruples) -> np.ndarray:
     """(margin_a, margin_b) = (p_aa - p_ca, p_aa - p_ac) of each row of an (n, 4) quadruple stack;
     any other shape raises ValueError."""
-    q = _numbers("quadruples", quadruples, float)
-    if q.ndim != 2 or q.shape[1] != 4:
-        raise ValueError(f"quadruples must form an (n, 4) array, got shape {q.shape}")
+    q = _numbers("quadruples", quadruples, float, (None, 4))
     with np.errstate(over="ignore"):  # a margin beyond the float range is inf
         return np.stack([q[:, 3] - q[:, 1], q[:, 3] - q[:, 2]], axis=1)
 
@@ -166,9 +166,7 @@ def entropic_witness(
     margin_a, margin_b = witness_margins([p.as_tuple()])[0].tolist()
     sig_a = sig_b = None
     if sigma is not None:
-        s = _numbers("sigma", sigma, float)
-        if s.shape != (4,):
-            raise ValueError(f"sigma must hold 4 standard errors (cc, ca, ac, aa), got shape {s.shape}")
+        s = _numbers("sigma", sigma, float, (4,))
         _require_all(s >= 0.0, lambda i: f"standard errors must be non-negative, got {s[i]}", stacked=False)
         sig_a = _margin_significance(margin_a, s[3], s[1])
         sig_b = _margin_significance(margin_b, s[3], s[2])

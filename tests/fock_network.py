@@ -92,7 +92,7 @@ class FockState:
             a = complex(amp)
             if a != 0:
                 amps[occ] = a
-        _numbers("amplitudes", list(amps.values()), complex)
+        _numbers("amplitudes", list(amps.values()), complex, (None,))
         if normalized:
             nrm = sum(abs(a) ** 2 for a in amps.values())
             if abs(nrm - 1.0) > NORM_TOL:
@@ -329,7 +329,7 @@ class CoincidenceRecord(_Record, eq=True):
     def __init__(self, cc: float, ca: float, ac: float, aa: float, other: float):
         vals = (cc, ca, ac, aa, other)
         for name, v in zip(CHANNELS, vals):
-            _numbers(name, v, float)
+            _numbers(name, v, float, ())
         if min(vals) < -1e-12:
             raise ValueError(f"negative probability in {vals}")
         total = sum(vals)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -65,9 +66,9 @@ def test_run_config_validation():
     [
         ("phi_grid", (0.0, float("nan")), "finite"),
         ("phi_grid", (0.0, float("inf")), "finite"),
-        ("phi_grid", 1.5, "phi_grid must be a sequence of numbers"),
-        ("phi_grid", "0.5", "phi_grid must be a sequence of numbers"),
-        ("phi_grid", (0.0, "1"), "phi_grid entry must be a number"),
+        ("phi_grid", 1.5, r"phi_grid must form an array of shape \(n,\), got shape \(\)$"),
+        ("phi_grid", "0.5", "phi_grid must be a number, got a str$"),
+        ("phi_grid", (0.0, "1"), "phi_grid must be a number, got a str$"),
         ("shots_per_phase", float("inf"), "shots_per_phase must be finite"),
         ("shots_per_phase", float("nan"), "shots_per_phase must be finite"),
         ("shots_per_phase", 1e30, "shots_per_phase"),
@@ -79,9 +80,9 @@ def test_run_config_validation():
         ("seed", float("inf"), "seed must be finite"),
         ("seed", "7", "seed must be a number"),
         # a 0-d array has __iter__, and iterating it raised TypeError
-        ("phi_grid", np.array(0.5), "phi_grid must be a sequence of numbers"),
+        ("phi_grid", np.array(0.5), r"phi_grid must form an array of shape \(n,\), got shape \(\)$"),
         # a grid of rows reads as a 2-D array
-        ("phi_grid", [[0.0, 1.0]], "phi_grid must be a sequence of numbers"),
+        ("phi_grid", [[0.0, 1.0]], r"phi_grid must form an array of shape \(n,\), got shape \(1, 2\)$"),
     ],
 )
 def test_run_config_rejects_non_finite_and_mistyped_fields(field, value, match):
@@ -155,8 +156,8 @@ def test_estimator_leaves_the_callers_arrays_writeable():
 @pytest.mark.parametrize(
     "phi, counts, match",
     [
-        ([np.nan], [[1, 0, 0, 0, 0]], "^phi must be finite"),
-        ([np.inf], [[1, 0, 0, 0, 0]], "^phi must be finite"),
+        ([np.nan], [[1, 0, 0, 0, 0]], "^stack index 0: phi must be finite, got nan$"),
+        ([np.inf], [[1, 0, 0, 0, 0]], "^stack index 0: phi must be finite, got inf$"),
         (["0.5"], [[1, 0, 0, 0, 0]], "^phi must be a number"),
         ([0.0], [[np.inf, 0, 0, 0, 0]], "^counts must be integers"),  # was OverflowError
         ([0.0], [[0, 0, 0, 0, -np.inf]], "^counts must be integers"),
@@ -167,10 +168,10 @@ def test_estimator_leaves_the_callers_arrays_writeable():
         ([0.0], [[0, 0, 0, 0, -1]], "^n_other must be a non-negative integer"),
         ([0.0], np.array([[2**63, 0, 0, 0, 0]], dtype=np.uint64), "^n_cc must be a non-negative integer"),
         ([0.0], [[2**62, 2**62, 0, 0, 0]], "total more than"),  # its int64 sum wraps
-        ([0.0, 1.0], [[1, 0, 0, 0, 0]], r"^counts must be a \(2, 5\) table"),
-        ([0.0], [1, 0, 0, 0, 0], r"^counts must be a \(1, 5\) table"),
-        ([0.0], [[1, 0, 0, 0]], r"^counts must be a \(1, 5\) table"),
-        ([[0.0]], [[1, 0, 0, 0, 0]], "^phi_grid must be a non-empty sequence"),
+        ([0.0, 1.0], [[1, 0, 0, 0, 0]], r"^counts must form an array of shape \(2, 5\), got shape \(1, 5\)$"),
+        ([0.0], [1, 0, 0, 0, 0], r"^counts must form an array of shape \(1, 5\), got shape \(5,\)$"),
+        ([0.0], [[1, 0, 0, 0]], r"^counts must form an array of shape \(1, 5\), got shape \(1, 4\)$"),
+        ([[0.0]], [[1, 0, 0, 0, 0]], r"^phi must form an array of shape \(n,\), got shape \(1, 1\)$"),
     ],
     ids=[
         "nan-phi", "inf-phi", "string-phi", "inf-count", "minus-inf-count", "nan-count", "bool-count", "bool-table", "fraction-count",
@@ -241,9 +242,16 @@ def test_run_config_bounds_the_grid_without_reading_past_the_limit(monkeypatch):
     assert len(RunConfig(phi_grid=(0.0, 1.0, 2.0, 3.0), shots_per_phase=1).phi_grid) == 4
     with pytest.raises(ValueError, match="more than 4 phases"):
         RunConfig(phi_grid=(0.0, 1.0, 2.0, 3.0, 4.0), shots_per_phase=1)
-    # an endless grid is refused after limit + 1 entries
-    with pytest.raises(ValueError, match="more than 4 phases"):
+    # an iterator or a set is not a sequence: it is refused before any of it is read
+    with pytest.raises(ValueError, match="^phi_grid must be a number, got a repeat$"):
         RunConfig(phi_grid=itertools.repeat(0.5), shots_per_phase=1)
+    grid = iter((0.0, 1.0))
+    with pytest.raises(ValueError, match="^phi_grid must be a number, got a tuple_iterator$"):
+        RunConfig(phi_grid=grid, shots_per_phase=1)
+    assert list(grid) == [0.0, 1.0]
+    # a set reads in hash order, which is not a phase order
+    with pytest.raises(ValueError, match="^phi_grid must be a number, got a set$"):
+        RunConfig(phi_grid={2.5, 0.0, 1.0, 0.5}, shots_per_phase=1)
 
 
 @settings(max_examples=200)
@@ -434,19 +442,26 @@ def test_fit_input_validation():
 
 
 @pytest.mark.parametrize(
-    "phi, y, sigma",
+    "phi, y, sigma, want",
     [
-        (GRID25, aa_curve(GRID25)[:24], np.full(25, 0.01)),
-        (GRID25, aa_curve(GRID25), np.full(24, 0.01)),
-        (GRID25[:24], aa_curve(GRID25), np.full(25, 0.01)),
-        (np.array([GRID25] * 2), np.array([aa_curve(GRID25)] * 2), np.full((2, 25), 0.01)),
-        (np.array(GRID25)[:, None], aa_curve(GRID25)[:, None], np.full((25, 1), 0.01)),
-        (1.0, 1.0, 0.1),
+        (GRID25, aa_curve(GRID25)[:24], np.full(25, 0.01), "y must form an array of shape (25,), got shape (24,)"),
+        # sigma is read first, and phi and y at its length
+        (GRID25, aa_curve(GRID25), np.full(24, 0.01), "phi must form an array of shape (24,), got shape (25,)"),
+        (GRID25[:24], aa_curve(GRID25), np.full(25, 0.01), "phi must form an array of shape (25,), got shape (24,)"),
+        (
+            np.array([GRID25] * 2), np.array([aa_curve(GRID25)] * 2), np.full((2, 25), 0.01),
+            "sigma must form an array of shape (n,), got shape (2, 25)",
+        ),
+        (
+            np.array(GRID25)[:, None], aa_curve(GRID25)[:, None], np.full((25, 1), 0.01),
+            "sigma must form an array of shape (n,), got shape (25, 1)",
+        ),
+        (1.0, 1.0, 0.1, "sigma must form an array of shape (n,), got shape ()"),
     ],
     ids=["short-y", "short-sigma", "short-phi", "2-D", "column", "scalars"],
 )
-def test_fit_refuses_arrays_that_are_not_1d_of_one_length(phi, y, sigma):
-    with pytest.raises(ValueError, match="1-D arrays of one length"):
+def test_fit_refuses_arrays_that_are_not_1d_of_one_length(phi, y, sigma, want):
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         fit_interference(phi, y, sigma)
 
 

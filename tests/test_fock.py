@@ -611,7 +611,7 @@ def test_outcome_curves_reject_empty_and_non_finite_grids():
     with pytest.raises(ValueError, match="empty"):
         outcome_curves([])
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=f"^phi must be finite, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^stack index 1: phi must be finite, got {bad}$"):
             outcome_curves([0.0, bad])
 
 

@@ -67,7 +67,7 @@ def test_make_density_rejects_all_nan_matrix_before_the_eigensolver():
 
 
 def test_make_density_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match=r"^matrix must form an array of shape \(6, 6\), got shape \(4, 4\)$"):
         make_density(np.eye(4) / 4.0, 2, 3)
 
 
@@ -277,7 +277,7 @@ def test_rows_that_do_not_stack_are_refused_as_ragged(values, dtype):
     # the first three were named by their row's type, "got a list" or "got a ndarray"
     what = "integers" if dtype is np.int64 else "a number"
     with pytest.raises(ValueError, match=f"^matrix must be {what}, got a ragged row$"):
-        _numbers("matrix", values, dtype)
+        _numbers("matrix", values, dtype, (None, None))
 
 
 @pytest.mark.parametrize("dtype", [float, complex, np.int64])
@@ -285,9 +285,9 @@ def test_a_0d_array_entry_is_not_a_row(dtype):
     # it was refused as "got a ragged row"; beside a 1-d array it is still ragged
     what = "integers" if dtype is np.int64 else "a number"
     with pytest.raises(ValueError, match=f"^phi must be {what}, got a ndarray$"):
-        _numbers("phi", [np.array(1), 2], dtype)
+        _numbers("phi", [np.array(1), 2], dtype, (None,))
     with pytest.raises(ValueError, match=f"^phi must be {what}, got a ragged row$"):
-        _numbers("phi", [np.array(1), np.array([2])], dtype)
+        _numbers("phi", [np.array(1), np.array([2])], dtype, (None,))
 
 
 # any scalar a caller may pass: bools, ints beyond every C integer type, every
@@ -428,7 +428,7 @@ LIBRARY_ARRAYS = {
     "estimate_probabilities-counts": (
         "counts", int, (4, 5), False, lambda counts: estimate_probabilities(PHI6[:4], counts, "number_resolving")
     ),
-    "RunConfig-phi_grid": ("phi_grid entry", float, (4,), True, lambda grid: RunConfig(grid, 1)),
+    "RunConfig-phi_grid": ("phi_grid", float, (4,), True, lambda grid: RunConfig(grid, 1)),
     "fit_interference-phi": ("phi", float, (6,), False, lambda phi: fit_interference(phi, np.ones(6), np.ones(6))),
     "fit_interference-y": ("y", float, (6,), False, lambda y: fit_interference(PHI6, y, np.ones(6))),
     "fit_interference-sigma": ("sigma", float, (6,), False, lambda sigma: fit_interference(PHI6, np.ones(6), sigma)),
@@ -456,3 +456,16 @@ def test_any_array_in_any_argument_returns_or_is_refused(case, data):
     # rows that do not stack are named as such, whatever else their entries hold
     if ragged:
         assert refusal.endswith(" got a ragged row"), refusal
+
+
+@pytest.mark.parametrize("case", sorted(case for case, spec in LIBRARY_ARRAYS.items() if not spec[3]))
+def test_an_array_of_another_rank_is_refused_by_the_reader(case):
+    # each reader judged rank in its own words, and the phase curves flattened any array
+    name, kind, shape, _, call = LIBRARY_ARRAYS[case]
+    for wrong in (shape + (1,), shape[1:]):
+        value = np.ones(wrong, dtype=np.int64 if kind is int else kind)
+        want = rf"{re.escape(name)} must form an array of shape \([n\d, ]+\), got shape {re.escape(str(wrong))}"
+        for given_as in (value, value.tolist()):
+            with pytest.raises(ValueError) as refusal:
+                call(given_as)
+            assert re.fullmatch(want, str(refusal.value)), (wrong, str(refusal.value))

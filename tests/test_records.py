@@ -8,6 +8,7 @@ identity (the other four).
 """
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -17,7 +18,7 @@ from fock_network import CoincidenceRecord, ModeIndex, Polarization
 from renyi2.chsh import CorrelationMatrix
 from renyi2.experiment import ChannelEstimate, FitResult, RunConfig
 from renyi2.qstate import DensityOperator, SINGLET_VEC
-from renyi2.two_copy import CollisionProbabilities, WitnessVerdict
+from renyi2.two_copy import CollisionProbabilities, WitnessVerdict, entropic_witness
 
 
 def _read_only(values):
@@ -185,6 +186,12 @@ def test_records_normalize_their_fields():
     )
     assert config == RunConfig((0.0, 1.0), 100, seed=5)
     assert hash(config) == hash(RunConfig((0.0, 1.0), 100, 1.0, 0.0, 5))
+
+    # the floats the reader read, not the int 0 given; a margin over a zero error is the float inf
+    sure = CollisionProbabilities(0.75, 0, 0, 0.25)
+    assert sure.as_tuple() == (0.75, 0.0, 0.0, 0.25) and all(type(p) is float for p in sure.as_tuple())
+    verdict = entropic_witness(sure, sigma=(0.0, 0.0, 0.0, 0.0))
+    assert verdict.significance_a == math.inf and type(verdict.significance_a) is float
 
     assert ModeIndex(1, "V").polarization is Polarization.V
     assert ModeIndex(1, "V") == ModeIndex(1, Polarization.V)

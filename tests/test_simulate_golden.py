@@ -2,9 +2,12 @@
 
 `golden/simulate.json` holds, for one 200-phase config per detector model,
 the SHA-256 of the `counts.csv` the CLI writes and the `config`, `fits` and
-`witness` sections of its `report.json`. The file was captured before the
-outcome curves moved to the phase-Gram form, so any later change to the
-sampling, the estimates or the fit that moves a count or a float shows here.
+`witness` sections of its `report.json`. The sections are compared by the
+benchmark's own `compare_json` (floats within 1e-12, relative above 1, the
+rest exact and of one type), read from `perfbench/` without changing it.
+The file was captured before the outcome curves moved to the phase-Gram
+form, so any later change to the sampling, the estimates or the fit that
+moves a count or a float shows here.
 
 Regenerate it only when the outputs are meant to change, from the
 repository root:
@@ -22,8 +25,11 @@ import pytest
 
 from renyi2.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "simulate.json")
-FLOAT_TOL = 1e-12
+TESTS = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "perfbench"))
+from workloads import compare_json  # noqa: E402
+
+GOLDEN = os.path.join(TESTS, "golden", "simulate.json")
 N_PHASES = 200
 CONFIGS = (
     {
@@ -60,31 +66,6 @@ def run_simulate(entry: dict, workdir: str) -> tuple[str, dict]:
     return digest, report
 
 
-def mismatch(got, want, path="report"):
-    """First difference: floats to FLOAT_TOL (relative above 1), the rest exact."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or set(got) != set(want):
-            return f"{path}: keys differ"
-        for key in sorted(want):
-            err = mismatch(got[key], want[key], f"{path}.{key}")
-            if err:
-                return err
-        return None
-    if isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
-            return f"{path}: lengths differ"
-        for i, (g, w) in enumerate(zip(got, want)):
-            err = mismatch(g, w, f"{path}[{i}]")
-            if err:
-                return err
-        return None
-    if isinstance(want, float):
-        if not isinstance(got, (int, float)) or abs(got - want) > FLOAT_TOL * max(1.0, abs(want)):
-            return f"{path}: {got!r} != {want!r}"
-        return None
-    return None if got == want else f"{path}: {got!r} != {want!r}"
-
-
 def load_golden() -> list[dict]:
     with open(GOLDEN, encoding="utf-8") as fh:
         return json.load(fh)
@@ -98,7 +79,7 @@ def test_simulate_matches_golden_outputs(index, tmp_path, capsys):
     capsys.readouterr()
     assert digest == entry["counts_sha256"]
     for section in REPORT_SECTIONS:
-        assert mismatch(report[section], entry[section], section) is None
+        assert compare_json(report[section], entry[section], section) is None
 
 
 def capture() -> None:

@@ -159,7 +159,7 @@ def test_stacked_kernels_name_the_bad_index(n, data):
 
 def test_stacked_kernels_reject_wrong_dimensions():
     stack = werner_stack([0.2, 0.8])
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match=r"^matrix must form an array of shape \(n, 4, 4\), got shape \(4, 4\)$"):
         density_stack(stack[0], 2, 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         max_chsh_values(stack, 4, 1)
@@ -167,7 +167,7 @@ def test_stacked_kernels_reject_wrong_dimensions():
         collision_quadruples(stack, 4, 1)
     with pytest.raises(ValueError, match="bipartite"):
         ppt_min_eigenvalues(stack, 4, 1)
-    with pytest.raises(ValueError, match="1-D"):
+    with pytest.raises(ValueError, match=r"^mixing parameter must form an array of shape \(n,\), got shape \(\)$"):
         werner_stack(0.5)
 
 
@@ -175,11 +175,11 @@ def test_stacked_kernels_and_margins_refuse_other_shapes():
     # a single matrix used to reach numpy's einsum ("too many subscripts"), or
     # to be read as a stack of its rows; a single quadruple raised IndexError
     for kernel in (collision_quadruples, max_chsh_values, ppt_min_eigenvalues):
-        with pytest.raises(ValueError, match=r"^dimension mismatch: matrix shape \(4, 4\), expected \(n, 4, 4\)$"):
+        with pytest.raises(ValueError, match=r"^matrix must form an array of shape \(n, 4, 4\), got shape \(4, 4\)$"):
             kernel(np.eye(4) / 4, 2, 2)
-    with pytest.raises(ValueError, match=r"^quadruples must form an \(n, 4\) array, got shape \(4,\)$"):
+    with pytest.raises(ValueError, match=r"^quadruples must form an array of shape \(n, 4\), got shape \(4,\)$"):
         witness_margins([0.25] * 4)
-    with pytest.raises(ValueError, match=r"^quadruples must form an \(n, 4\) array, got shape \(2, 3\)$"):
+    with pytest.raises(ValueError, match=r"^quadruples must form an array of shape \(n, 4\), got shape \(2, 3\)$"):
         witness_margins(np.zeros((2, 3)))
 
 

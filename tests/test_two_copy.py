@@ -165,7 +165,7 @@ def test_witness_rejects_non_finite_errors(bad):
 def test_witness_names_sigma_and_its_length(sigma):
     # a 3-tuple died with "not enough values to unpack (expected 4, got 3)"
     p = collision_probabilities(werner(0.8))
-    want = rf"sigma must hold 4 standard errors \(cc, ca, ac, aa\), got shape {re.escape(str(np.shape(sigma)))}"
+    want = rf"sigma must form an array of shape \(4,\), got shape {re.escape(str(np.shape(sigma)))}"
     with pytest.raises(ValueError, match=f"^{want}$"):
         entropic_witness(p, sigma=sigma)
 
