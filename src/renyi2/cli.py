@@ -19,7 +19,6 @@ import numpy as np
 from .qstate import (
     MAX_GRID_POINTS,
     DensityOperator,
-    _finite,
     _integer,
     _numbers,
     make_density,
@@ -145,8 +144,9 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    # json.load raises RecursionError on nesting deeper than the interpreter's stack
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # json.load raises RecursionError on nesting deeper than the interpreter's stack, and a plain
+    # ValueError on an integer of more than 4300 digits; JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed {what} file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"malformed {what} file {path}: it must hold a JSON object")
@@ -176,7 +176,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
-    start, stop = _finite("grid start", start), _finite("grid stop", stop)
+    start, stop = float(_numbers("grid start", start, float, ())), float(_numbers("grid stop", stop, float, ()))
     # np.linspace warns twice and fills the grid with inf when stop - start overflows
     if not math.isfinite(stop - start):
         raise ValueError(f"grid span stop - start overflows a float, got {spec!r}")

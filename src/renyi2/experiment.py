@@ -219,11 +219,8 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     Every channel is estimated in one pass over the table; each estimate
     holds its channel's columns.
     """
-    return _estimates(*_validated_counts(phi_grid, counts), _correction_factors(detector_model))
-
-
-def _estimates(phi: np.ndarray, table: np.ndarray, n_total: np.ndarray, factors: np.ndarray) -> dict:
-    """estimate_probabilities on the arrays _validated_counts returns."""
+    phi, table, n_total = _validated_counts(phi_grid, counts)
+    factors = _correction_factors(detector_model)
     n_total = n_total[:, None]
     q = table / n_total
     value = factors * q
@@ -384,13 +381,10 @@ def analyze_counts(config: RunConfig, table) -> dict:
     """
     factors = _correction_factors(config.detector_model)
     phi, table, n_total = _validated_counts(config.phi_grid, table)
-    estimates = _estimates(phi, table, n_total, factors)
     n_total = n_total[:, None]
+    value = factors * (table / n_total)
     sigma = _binomial_stderr((table + 0.5) / (n_total + 1.0), n_total, factors)
-    fits = {
-        ch: fit_interference(estimates[ch].phi, estimates[ch].value, sigma[:, CHANNELS.index(ch)])
-        for ch in ("ac", "aa")
-    }
+    fits = {ch: fit_interference(phi, value[:, c], sigma[:, c]) for c, ch in enumerate(CHANNELS) if ch in ("ac", "aa")}
     # each fitted minimum as (value clamped into [0, 1], stderr)
     clamped = any(not 0.0 <= fit.minima_values[0] <= 1.0 for fit in fits.values())
     minima = {ch: (min(max(fit.minima_values[0], 0.0), 1.0), fit.minima_stderr[0]) for ch, fit in fits.items()}

@@ -36,11 +36,14 @@ def _require_all(ok, message, stacked: bool) -> None:
 
 def _numbers(name: str, values, dtype, shape: tuple) -> np.ndarray:
     """values as a new array of dtype (float, complex or np.int64) and shape (lengths, None for any, 0 included);
-    ValueError naming the field unless an ndarray's dtype, or each entry of a sequence as _finite judges a scalar
-    (a bool is not a number), is of that kind, the rows of a sequence stack, the shape fits, and every entry is
-    finite. A free first axis is the member axis: a member with a non-finite entry is named by its index."""
+    ValueError naming the field unless an ndarray's dtype, or each entry of a sequence, is of that kind (a bool is
+    not a number), the rows of a sequence stack, the shape fits, and every entry is finite. A scalar is a read of
+    shape (), and a refused one is shown whole. A free first axis is the member axis: a member with a non-finite
+    entry is named by its index."""
     kinds, number = {float: ("iuf", Real), complex: ("iufc", Complex), np.int64: ("iu", Integral)}[dtype]
     what = "integers" if dtype is np.int64 else "a number"
+    if shape == () and (isinstance(values, bool) or not isinstance(values, number)):
+        raise ValueError(f"{name} must be {what}, got {values!r}")
     if not isinstance(values, np.ndarray):
         try:
             values = np.array(values, dtype=object)
@@ -68,36 +71,26 @@ def _numbers(name: str, values, dtype, shape: tuple) -> np.ndarray:
     return values
 
 
-def _finite(name: str, x) -> float:
-    """x as a float; ValueError naming the field unless it is a finite real number."""
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise ValueError(f"{name} must be a number, got {x!r}")
-    try:
-        value = float(x)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return value
-
-
 def _probability(name: str, x) -> float:
     """x as a float in [0, 1]; ValueError naming the field otherwise."""
-    value = _finite(name, x)
+    value = float(_numbers(name, x, float, ()))
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
     return value
 
 
 def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
-    """x as an int in [lo, hi]; ValueError naming the field otherwise."""
+    """x as an int in [lo, hi]; ValueError naming the field otherwise. An integral x is read whole, as a
+    seed reaches 2**64 - 1, beyond int64; any other x is read by _numbers and must be integral."""
     if isinstance(x, Integral) and not isinstance(x, bool):
         n = int(x)
     else:
-        value = _finite(name, x)
+        value = float(_numbers(name, x, float, ()))
         n = int(value) if value.is_integer() else None
     if n is None or not lo <= n <= hi:
-        raise ValueError(f"{name} must be {what}, got {x!r}")
+        # str() refuses an int of more than 4300 digits, and every range here lies within 64 bits
+        big = isinstance(x, Integral) and n.bit_length() > 64
+        raise ValueError(f"{name} must be {what}, got {f'an integer of {n.bit_length()} bits' if big else repr(x)}")
     return n
 
 

@@ -636,6 +636,32 @@ def test_every_junk_value_in_every_field_keeps_the_contract(tmp_path, run, base)
             assert_contract(*run(_replaced(base, path, value), tmp_path), (path, value))
 
 
+# an integer of 5000 digits; json.dumps refuses to write one, so the files hold it as text
+HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "what, text",
+    [
+        ("config", '{"phi_grid": [0, 0.8, 1.6, 2.4], "shots_per_phase": %s}' % HUGE_INT),
+        ("matrix", '{"dim_a": %s, "dim_b": 1, "matrix": [[1]]}' % HUGE_INT),
+    ],
+    ids=["simulate", "purity"],
+)
+def test_a_file_holding_an_integer_beyond_4300_digits_is_named(tmp_path, what, text):
+    # json.load raises a bare ValueError for it, and the refusal named no file
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {
+        "config": ["simulate", "--config", str(path), "--out", str(tmp_path / "o")],
+        "matrix": ["purity", "--state", f"file:{path}"],
+    }[what]
+    code, err = run_in_process(argv)
+    assert_contract(code, err, what)
+    assert code == 2 and err.startswith(f"error: malformed {what} file {path}: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyi2.chsh import CorrelationMatrix, max_chsh_values
-from renyi2.experiment import RunConfig, estimate_probabilities, fit_interference, outcome_distributions
+from renyi2.experiment import MAX_SHOTS, RunConfig, estimate_probabilities, fit_interference, outcome_distributions
 from renyi2.fock import coincidence_curves, outcome_curves
 from renyi2.qstate import (
     DensityOperator,
@@ -345,6 +345,52 @@ def test_any_number_in_any_argument_returns_or_is_refused(case, data):
     # a bool is not a number, and a count is an integer
     if isinstance(x, bool) or (count and not float(x).is_integer()):
         assert refusal is not None and refusal.startswith(f"{name} must be"), (x, refusal)
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_NUMBERS))
+@pytest.mark.parametrize("x", [10**400, -(10**400), 10**5000, -(10**5000)], ids=["e400", "-e400", "e5000", "-e5000"])
+def test_an_integer_beyond_every_range_is_refused_in_one_short_line(case, x):
+    # a float field printed all 401 digits, and str() of an int over 4300 digits
+    # raised its own ValueError, which named no argument
+    name, _, _, call = LIBRARY_NUMBERS[case]
+    with pytest.raises(ValueError) as refused:
+        call(x)
+    message = str(refused.value)
+    assert message.startswith(f"{name} must be") and "\n" not in message and len(message) < 200, message
+
+
+# a scalar float field, a probability and the non-integral path of a count, each
+# read by _numbers as an array of shape ()
+SCALAR_FIELDS = {
+    "visibility": ("visibility", lambda x: RunConfig([0.0, 1.0], 10, visibility=x)),
+    "werner": ("mixing parameter", werner),
+    "shots_per_phase": ("shots_per_phase", lambda x: RunConfig([0.0, 1.0], x)),
+}
+NOT_NUMBERS = [True, np.True_, "0.5", None, [0.5], {}, np.array(0.5)]
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+@pytest.mark.parametrize(
+    "x, refusal",
+    [
+        *((x, f"must be a number, got {x!r}") for x in NOT_NUMBERS),
+        (math.nan, "must be finite, got nan"),
+        (np.float64("nan"), "must be finite, got nan"),
+        (-math.inf, "must be finite, got -inf"),
+        (10**400, None),
+    ],
+    ids=["bool", "np-bool", "str", "none", "list", "dict", "0d-array", "nan", "np-nan", "-inf", "e400"],
+)
+def test_a_refused_scalar_is_named_in_one_form(field, x, refusal):
+    name, call = SCALAR_FIELDS[field]
+    if refusal is None:  # a count reads an int whole, and shows one this long by its size
+        refusal = (
+            f"must be a positive integer no larger than {MAX_SHOTS}, got an integer of 1329 bits"
+            if field == "shots_per_phase"
+            else "must be a number within the float64 range"
+        )
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {refusal}')}$"):
+        call(x)
 
 
 # an entry a caller may put in an array: numbers of every kind, and what is never one
