@@ -89,8 +89,8 @@ def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
         n = int(value) if value.is_integer() else None
     if n is None or not lo <= n <= hi:
         # str() refuses an int of more than 4300 digits, and every range here lies within 64 bits
-        big = isinstance(x, Integral) and n.bit_length() > 64
-        raise ValueError(f"{name} must be {what}, got {f'an integer of {n.bit_length()} bits' if big else repr(x)}")
+        shown = f"an integer of {n.bit_length()} bits" if isinstance(x, Integral) and n.bit_length() > 64 else repr(x)
+        raise ValueError(f"{name} must be {what}, got {shown}")
     return n
 
 
