@@ -7,7 +7,8 @@ stochastic experiment emulator with curve fitting.
 
 Each public name is listed once, under the module that defines it, and that
 module is imported on first access (PEP 562), so `import renyi2` loads
-neither numpy nor a layer.
+neither numpy nor a layer. `import renyi2.cli` registers all five layers as
+lazy modules and runs none of them, so it loads no numpy either.
 """
 
 import importlib

@@ -14,38 +14,17 @@ import os
 import sys
 from itertools import chain, repeat
 
-import numpy as np
-
-from .qstate import (
-    MAX_GRID_POINTS,
-    DensityOperator,
-    _integer,
-    _numbers,
-    make_density,
-    partial_trace,
-    ppt_min_eigenvalues,
-    purity,
-    singlet,
-    werner,
-    werner_stack,
-)
-from .two_copy import (
-    collision_probabilities,
-    collision_quadruples,
-    entropic_witness,
-    purities_from_probabilities,
-    witness_margins,
-)
-
 
 def _lazy(name: str):
     """renyi2.<name>, registered in sys.modules and bound on the package, whose body runs on its first
     attribute lookup (the importlib recipe, with importlib.util.LazyLoader); a layer already imported
     is returned as it is, so the process never holds two copies of it.
 
-    Imports inside the commands would do the same with less machinery, but the benchmark's tracer
-    reads every layer from sys.modules right after `import renyi2.cli`. ROADMAP item 4 replaces the
-    tracer, and these lazy modules with imports inside the commands.
+    All five layers load this way, so `import renyi2.cli` runs no layer and loads no numpy; a command
+    loads numpy with the first layer it calls. Imports inside the commands would do the same with less
+    machinery, but the benchmark's tracer reads every layer from sys.modules right after
+    `import renyi2.cli`. ROADMAP item 4 replaces the tracer, and these lazy modules with imports
+    inside the commands.
     """
     full = f"{__package__}.{name}"
     if full in sys.modules:
@@ -59,15 +38,19 @@ def _lazy(name: str):
     return module
 
 
-# the layers only some commands call: `purity` runs none of them, `werner-scan`
-# runs chsh, `phase-scan` fock, and `simulate` experiment and fock
+# each command runs only the layers it calls: `purity` qstate and two_copy, `werner-scan`
+# chsh, qstate and two_copy, `phase-scan` fock and qstate, `simulate` experiment, fock,
+# qstate and two_copy. cli reads numpy as qstate.np, bound once qstate has run, so that
+# no cell of a table pays for an import statement.
 chsh = _lazy("chsh")
 experiment = _lazy("experiment")
 fock = _lazy("fock")
+qstate = _lazy("qstate")
+two_copy = _lazy("two_copy")
 
 
 def _fmt(x: float) -> str:
-    return np.format_float_scientific(float(x), unique=True)
+    return qstate.np.format_float_scientific(float(x), unique=True)
 
 
 def _canonical_json(obj) -> str:
@@ -125,15 +108,15 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _load_state(spec: str) -> DensityOperator:
+def _load_state(spec: str) -> "qstate.DensityOperator":
     if spec == "singlet":
-        return singlet()
+        return qstate.singlet()
     if spec.startswith("werner:"):
         try:
             p = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"werner parameter is not a number in {spec!r}") from None
-        return werner(p)
+        return qstate.werner(p)
     if spec.startswith("file:"):
         return _load_matrix_file(spec.split(":", 1)[1])
     raise ValueError(f"unknown state family {spec!r} (expected singlet, werner:P or file:PATH)")
@@ -153,22 +136,22 @@ def _load_json(path: str, what: str) -> dict:
     return data
 
 
-def _load_matrix_file(path: str) -> DensityOperator:
+def _load_matrix_file(path: str) -> "qstate.DensityOperator":
     data = _load_json(path, "matrix")
     try:
         dim_a, dim_b = data["dim_a"], data["dim_b"]
         # every entry is read (a number e as [e, 0], or an [re, im] pair) before make_density reads the dimensions
         pairs = [[e if isinstance(e, list) else [e, 0] for e in row] for row in data["matrix"]]
-        table = _numbers("matrix entries", pairs, float, (None, None, 2))
+        table = qstate._numbers("matrix entries", pairs, float, (None, None, 2))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
     except ValueError as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from None
     # a complex view of the [re, im] pairs: no arithmetic on the parts
-    return make_density(table.view(complex)[..., 0], dim_a, dim_b)
+    return qstate.make_density(table.view(complex)[..., 0], dim_a, dim_b)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> "qstate.np.ndarray":
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}")
@@ -176,15 +159,16 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
-    start, stop = float(_numbers("grid start", start, float, ())), float(_numbers("grid stop", stop, float, ()))
+    start = float(qstate._numbers("grid start", start, float, ()))
+    stop = float(qstate._numbers("grid stop", stop, float, ()))
     # np.linspace warns twice and fills the grid with inf when stop - start overflows
     if not math.isfinite(stop - start):
         raise ValueError(f"grid span stop - start overflows a float, got {spec!r}")
     if n < 1:
         raise ValueError("phase grid is empty")
-    if n > MAX_GRID_POINTS:
-        raise ValueError(f"phase grid has more than {MAX_GRID_POINTS} points, got {n}")
-    return np.linspace(start, stop, n)
+    if n > qstate.MAX_GRID_POINTS:
+        raise ValueError(f"phase grid has more than {qstate.MAX_GRID_POINTS} points, got {n}")
+    return qstate.np.linspace(start, stop, n)
 
 
 # each purity of the report by its matrix, which names its CSV columns and text
@@ -194,13 +178,13 @@ _PURITIES = {"rho": ("joint", None), "rhoA": ("side_a", "A"), "rhoB": ("side_b",
 
 def cmd_purity(args) -> int:
     rho = _load_state(args.state)
-    p = collision_probabilities(rho)
-    verdict = entropic_witness(p)
+    p = two_copy.collision_probabilities(rho)
+    verdict = two_copy.entropic_witness(p)
     collisions = dict(zip(p.__slots__, p.as_tuple()))
     # (reconstructed, direct) of each matrix
     purities = {
-        m: (rec, purity(rho if side is None else partial_trace(rho, side)))
-        for (m, (_, side)), rec in zip(_PURITIES.items(), purities_from_probabilities(p))
+        m: (rec, qstate.purity(rho if side is None else qstate.partial_trace(rho, side)))
+        for (m, (_, side)), rec in zip(_PURITIES.items(), two_copy.purities_from_probabilities(p))
     }
     margins = {"margin_a": verdict.margin_a, "margin_b": verdict.margin_b}
 
@@ -237,13 +221,13 @@ def cmd_purity(args) -> int:
 def cmd_werner_scan(args) -> int:
     if not (0.0 <= args.pmin < args.pmax <= 1.0):
         raise ValueError(f"bad range: need 0 <= pmin < pmax <= 1, got [{args.pmin}, {args.pmax}]")
-    steps = _integer("steps", args.steps, 2, MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS}]")
-    ps = np.linspace(args.pmin, args.pmax, steps)
-    states = werner_stack(ps)
+    steps = qstate._integer("steps", args.steps, 2, qstate.MAX_GRID_POINTS, f"in [2, {qstate.MAX_GRID_POINTS}]")
+    ps = qstate.np.linspace(args.pmin, args.pmax, steps)
+    states = qstate.werner_stack(ps)
     columns = (
         ps,
-        ppt_min_eigenvalues(states, 2, 2),
-        witness_margins(collision_quadruples(states, 2, 2))[:, 0],
+        qstate.ppt_min_eigenvalues(states, 2, 2),
+        two_copy.witness_margins(two_copy.collision_quadruples(states, 2, 2))[:, 0],
         chsh.max_chsh_values(states, 2, 2),
     )
     keys = ("p", "ppt_min_eig", "entropic_margin", "max_chsh")
@@ -252,7 +236,7 @@ def cmd_werner_scan(args) -> int:
 
 
 def cmd_phase_scan(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi, 25)
+    grid = _parse_grid(args.grid) if args.grid else qstate.np.linspace(0.0, math.pi, 25)
     _emit(_table(fock._CURVE_FIELDS, fock.coincidence_curves(grid), args.format), args.out)
     return 0
 

@@ -34,16 +34,26 @@ def _require_all(ok, message, stacked: bool) -> None:
         raise ValueError(f"stack index {i}: {message(i)}" if stacked else message(i))
 
 
+def _shown(x) -> str:
+    """repr(x) when it can be built and is short, else x's type: str() refuses an int of more than 4300 digits,
+    which a container may hold, and repr a container nested deeper than the recursion limit."""
+    try:
+        text = repr(x)
+    except (ValueError, RecursionError):
+        text = None
+    return text if text is not None and len(text) <= 80 else f"a {type(x).__name__}"
+
+
 def _numbers(name: str, values, dtype, shape: tuple) -> np.ndarray:
     """values as a new array of dtype (float, complex or np.int64) and shape (lengths, None for any, 0 included);
     ValueError naming the field unless an ndarray's dtype, or each entry of a sequence, is of that kind (a bool is
     not a number), the rows of a sequence stack, the shape fits, and every entry is finite. A scalar is a read of
-    shape (), and a refused one is shown whole. A free first axis is the member axis: a member with a non-finite
+    shape (), and a refused one is shown by _shown. A free first axis is the member axis: a member with a non-finite
     entry is named by its index."""
     kinds, number = {float: ("iuf", Real), complex: ("iufc", Complex), np.int64: ("iu", Integral)}[dtype]
     what = "integers" if dtype is np.int64 else "a number"
     if shape == () and (isinstance(values, bool) or not isinstance(values, number)):
-        raise ValueError(f"{name} must be {what}, got {values!r}")
+        raise ValueError(f"{name} must be {what}, got {_shown(values)}")
     if not isinstance(values, np.ndarray):
         try:
             values = np.array(values, dtype=object)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from renyi2 import cli
+from renyi2 import cli, qstate
 from renyi2.cli import _canonical_json, _report_json, main
 from renyi2.experiment import MAX_GRID_POINTS, MAX_SHOTS, RunConfig, analyze_counts, witness_from_run
 from renyi2.qstate import random_density
@@ -293,7 +293,7 @@ def test_grid_sizes_are_bounded_before_allocation(argv):
 
 
 def test_grid_limit_admits_exactly_max_points(monkeypatch):
-    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    monkeypatch.setattr(qstate, "MAX_GRID_POINTS", 10)
     assert run_in_process(["werner-scan", "--steps", "10"]) == (0, "")
     assert run_in_process(["phase-scan", "--grid", "0:1:10"]) == (0, "")
     for argv in (["werner-scan", "--steps", "11"], ["phase-scan", "--grid", "0:1:11"]):
@@ -942,16 +942,57 @@ def test_cli_import_loads_every_layer():
 
 # one name each of the layers cli imports lazily: a layer has run once its own
 # __dict__ holds the name (object.__getattribute__ reads it without loading the layer)
-LAZY_LAYERS = {"chsh": "max_chsh_values", "experiment": "RunConfig", "fock": "outcome_curves"}
+LAZY_LAYERS = {
+    "chsh": "max_chsh_values", "experiment": "RunConfig", "fock": "outcome_curves", "qstate": "make_density",
+    "two_copy": "entropic_witness",
+}
+
+
+NUMPY_LOADED = 'sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))'
+
+
+def test_cli_import_loads_no_numpy_and_runs_no_layer():
+    code = f"""
+import json, sys
+import renyi2.cli
+ran = sorted(layer for layer, name in {LAZY_LAYERS!r}.items()
+             if name in object.__getattribute__(sys.modules[f"renyi2.{{layer}}"], "__dict__"))
+print(json.dumps([{NUMPY_LOADED}, ran]))
+"""
+    proc = run_fresh("-c", code)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[], []]
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["--help"], 0), (["simulate", "--help"], 0), (["simulate"], 2), (["purity", "--state", "bogus"], 2)],
+    ids=["help", "simulate-help", "usage-error", "bad-state"],
+)
+def test_help_and_refused_arguments_load_no_numpy(argv, status):
+    code = f"""
+import contextlib, gc, io, json, sys
+import renyi2.__main__ as entry
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        status = entry.main({argv!r})
+    except SystemExit as exc:
+        status = exc.code
+print(json.dumps([status, {NUMPY_LOADED}, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+    proc = run_fresh("-c", code)
+    assert proc.stderr == ""
+    # the entry leaves the collector on, with every object it found frozen, however the run ends
+    assert json.loads(proc.stdout) == [status, [], True, True]
 
 
 @pytest.mark.parametrize(
     "argv, ran",
     [
-        (["purity", "--state", "singlet"], []),
-        (["werner-scan", "--steps", "5"], ["chsh"]),
-        (["phase-scan"], ["fock"]),
-        (["simulate", "--config", "{config}", "--out", "{out}"], ["experiment", "fock"]),
+        (["purity", "--state", "singlet"], ["qstate", "two_copy"]),
+        (["werner-scan", "--steps", "5"], ["chsh", "qstate", "two_copy"]),
+        (["phase-scan"], ["fock", "qstate"]),
+        (["simulate", "--config", "{config}", "--out", "{out}"], ["experiment", "fock", "qstate", "two_copy"]),
     ],
     ids=["purity", "werner-scan", "phase-scan", "simulate"],
 )

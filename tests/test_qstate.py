@@ -393,6 +393,30 @@ def test_a_refused_scalar_is_named_in_one_form(field, x, refusal):
         call(x)
 
 
+def _nested_lists(depth: int) -> list:
+    outer = inner = []
+    for _ in range(depth):
+        inner.append([])
+        inner = inner[0]
+    return outer
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_FIELDS))
+@pytest.mark.parametrize(
+    "x",
+    [[10**5000], (10**400,), {1: 10**5000}, _nested_lists(10**5)],
+    ids=["list-e5000", "tuple-e400", "dict-e5000", "deep-list"],
+)
+def test_a_refused_container_is_named_by_its_field_in_one_short_line(field, x):
+    # the refusal showed the container's repr: an int of more than 4300 digits in it raised Python's
+    # own unnamed ValueError, one of 401 digits was printed whole, and a deep list raised RecursionError
+    name, call = SCALAR_FIELDS[field]
+    with pytest.raises(ValueError) as refused:
+        call(x)
+    message = str(refused.value)
+    assert message.startswith(f"{name} must be") and "\n" not in message and len(message) < 200, message
+
+
 # an entry a caller may put in an array: numbers of every kind, and what is never one
 ENTRIES = st.one_of(
     st.floats(), st.integers(-(2**70), 2**70), st.complex_numbers(), st.booleans(), st.none(), st.text(max_size=1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi2 import chsh, cli
+from renyi2 import chsh, cli, qstate, two_copy
 from renyi2.chsh import max_chsh, max_chsh_values
 from renyi2.qstate import (
     DensityOperator,
@@ -203,9 +203,9 @@ def test_werner_scan_calls_each_kernel_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    for name in ("werner_stack", "ppt_min_eigenvalues", "collision_quadruples"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    # cli reads max_chsh_values from its layer when werner-scan runs
+    # cli reads each kernel from its layer when werner-scan runs
+    for layer, name in ((qstate, "werner_stack"), (qstate, "ppt_min_eigenvalues"), (two_copy, "collision_quadruples")):
+        monkeypatch.setattr(layer, name, counted(name, getattr(layer, name)))
     monkeypatch.setattr(chsh, "max_chsh_values", counted("max_chsh_values", chsh.max_chsh_values))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
 
