@@ -2,8 +2,8 @@
 
 simulate_counts draws per-phase multinomial samples from a noise-mixed
 outcome distribution into one int64 table, estimate_probabilities converts
-it to proportion estimates held as read-only arrays (including the
-bucket-detector factor-2 correction), fit_interference(phi, y, sigma)
+it to proportion estimates held as read-only arrays (with the detector
+model's correction, 1/keep per coalescence channel), fit_interference(phi, y, sigma)
 performs the weighted cosine fit with the period fixed at pi on three 1-D
 arrays of one length, and analyze_counts strings the estimate, the fits
 and the witness test into a JSON-ready report of one count table, whose
@@ -29,18 +29,12 @@ SINGLET_FRACTION = 0.4
 # a margin is only called a violation when it clears this many standard errors
 MIN_SIGNIFICANCE = 3.0
 
-# factor by which each coalescence channel is undercounted by bucket
-# detectors behind a polarizing splitter: a two-photon port registers as two
-# detectors only when the photons split H/V, probability 1/2 per side
-_BUCKET_KEEP = (0.25, 0.5, 0.5)  # cc, ca, ac
-# the factors that undo each detector model's losses, one per channel in CHANNELS order
-_CORRECTION_FACTORS = {
-    "number_resolving": np.ones(len(CHANNELS)),
-    "bucket_with_pbs": 1.0 / np.array([*_BUCKET_KEEP, 1.0, 1.0]),
-}
-for _factors in _CORRECTION_FACTORS.values():
-    _factors.flags.writeable = False
-DETECTOR_MODELS = tuple(_CORRECTION_FACTORS)
+# share of the cc, ca and ac events that each detector model registers; every
+# model keeps aa and other, and a lost event counts as other. Bucket detectors
+# behind a polarizing splitter see a two-photon port as two detectors only when
+# the photons split H/V, probability 1/2 per side
+_KEEP = {"number_resolving": (1.0, 1.0, 1.0), "bucket_with_pbs": (0.25, 0.5, 0.5)}
+DETECTOR_MODELS = tuple(_KEEP)
 
 # numpy's multinomial takes the shot count as a C long
 MAX_SHOTS = 2**63 - 1
@@ -55,13 +49,14 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _correction_factors(detector_model: str) -> np.ndarray:
-    """Per-channel factors that undo the detector model's coalescence losses."""
+    """Read-only factors in CHANNELS order that undo the model's losses: 1/keep for cc, ca, ac and 1 for aa, other."""
     try:
-        return _CORRECTION_FACTORS[detector_model]
+        keep = _KEEP[detector_model]
     except (KeyError, TypeError):
-        raise ValueError(
-            f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}"
-        ) from None
+        raise ValueError(f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}") from None
+    factors = 1.0 / np.array([*keep, 1.0, 1.0])
+    factors.flags.writeable = False
+    return factors
 
 
 class RunConfig(_Record, eq=True):
@@ -114,24 +109,25 @@ def simulate_counts(config: RunConfig) -> np.ndarray:
     deterministic for a fixed seed.
 
     Row k is drawn from its own stream, default_rng([seed, k]), so it does
-    not depend on the rest of the grid: one multinomial draw, then under
-    bucket_with_pbs one binomial draw per coalescence channel (cc, ca, ac)
-    whose losses move to `other`. The drawn rows become the table in one
-    np.array call.
+    not depend on the rest of the grid: one multinomial draw, then, under a
+    model that keeps a share below 1 of cc, ca or ac, one binomial draw per
+    coalescence channel (cc, ca, ac) whose losses move to `other`. The drawn
+    rows become the table in one np.array call.
     """
     probs = outcome_distributions(config.phi_grid, config.visibility, config.background_rate)
-    shots = config.shots_per_phase
+    shots, keep = config.shots_per_phase, _KEEP[config.detector_model]
+    lossy = min(keep) < 1.0
     draws = zip(_phase_generators(config.seed, len(probs)), probs)
-    if config.detector_model == "number_resolving":
-        return np.array([rng.multinomial(shots, row) for rng, row in draws], dtype=np.int64)
-    keep_cc, keep_ca, keep_ac = _BUCKET_KEEP
-    rows = []
-    for rng, row in draws:
-        # three scalar draws take the same stream as one broadcast draw, in a third of the time
-        n_cc, n_ca, n_ac, n_aa, n_other = rng.multinomial(shots, row).tolist()
-        k_cc, k_ca, k_ac = rng.binomial(n_cc, keep_cc), rng.binomial(n_ca, keep_ca), rng.binomial(n_ac, keep_ac)
-        rows.append((k_cc, k_ca, k_ac, n_aa, n_other + (n_cc - k_cc) + (n_ca - k_ca) + (n_ac - k_ac)))
+    rows = [_thinned(rng, rng.multinomial(shots, p), keep) if lossy else rng.multinomial(shots, p) for rng, p in draws]
     return np.array(rows, dtype=np.int64)
+
+
+def _thinned(rng, counts: np.ndarray, keep: tuple) -> tuple:
+    """One phase's counts as registered: cc, ca and ac each kept binomially at its share; the losses join other."""
+    n_cc, n_ca, n_ac, n_aa, n_other = counts.tolist()
+    # three scalar draws take the same stream as one broadcast draw, in a third of the time
+    k_cc, k_ca, k_ac = rng.binomial(n_cc, keep[0]), rng.binomial(n_ca, keep[1]), rng.binomial(n_ac, keep[2])
+    return k_cc, k_ca, k_ac, n_aa, n_other + (n_cc - k_cc) + (n_ca - k_ca) + (n_ac - k_ac)
 
 
 def _phase_generators(seed: int, n: int):
@@ -214,7 +210,7 @@ def estimate_probabilities(phi_grid, counts, detector_model: str) -> dict[str, C
     non-negative integer counts (CHANNELS order) per entry of phi_grid, with
     each row's total at most MAX_SHOTS.
     Under bucket_with_pbs the observed cc/ca/ac counts are scaled back up by
-    the detection factor (4, 2, 2) before normalization; the estimate of
+    1/keep, (4, 2, 2), before normalization; the estimate of
     `other` then includes the lost coalescence events and is reported as-is.
     Every channel is estimated in one pass over the table; each estimate
     holds its channel's columns.

@@ -8,7 +8,7 @@ Subsystem A is always the first tensor factor.
 from __future__ import annotations
 
 import math
-from numbers import Complex, Integral, Real
+from numbers import Complex, Integral, Rational, Real
 
 import numpy as np
 
@@ -35,8 +35,12 @@ def _require_all(ok, message, stacked: bool) -> None:
 
 
 def _shown(x) -> str:
-    """repr(x) when it can be built and is short, else x's type: str() refuses an int of more than 4300 digits,
-    which a container may hold, and repr a container nested deeper than the recursion limit."""
+    """How a refused value is named: an integer beyond 64 bits by its size, else repr(x) when it can be built and is
+    short, else x's type. str() refuses an int of more than 4300 digits, which a container or a Fraction may hold,
+    and repr a container nested deeper than the recursion limit."""
+    bits = int(x).bit_length() if isinstance(x, Integral) else 0
+    if bits > 64:
+        return f"an integer of {bits} bits"
     try:
         text = repr(x)
     except (ValueError, RecursionError):
@@ -85,22 +89,22 @@ def _probability(name: str, x) -> float:
     """x as a float in [0, 1]; ValueError naming the field otherwise."""
     value = float(_numbers(name, x, float, ()))
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {x}")
+        raise ValueError(f"{name} must be in [0, 1], got {_shown(x)}")
     return value
 
 
 def _integer(name: str, x, lo: int, hi: int, what: str) -> int:
-    """x as an int in [lo, hi]; ValueError naming the field otherwise. An integral x is read whole, as a
-    seed reaches 2**64 - 1, beyond int64; any other x is read by _numbers and must be integral."""
-    if isinstance(x, Integral) and not isinstance(x, bool):
-        n = int(x)
+    """x as an int in [lo, hi]; ValueError naming the field otherwise. A rational x (an int, a numpy integer, a
+    Fraction) is read exactly, as a seed reaches 2**64 - 1, beyond int64 and float precision; any other x is read by
+    _numbers. Either must be integral."""
+    if isinstance(x, Rational) and not isinstance(x, bool):
+        quotient, rest = divmod(int(x.numerator), int(x.denominator))
+        n = None if rest else quotient
     else:
         value = float(_numbers(name, x, float, ()))
         n = int(value) if value.is_integer() else None
     if n is None or not lo <= n <= hi:
-        # str() refuses an int of more than 4300 digits, and every range here lies within 64 bits
-        shown = f"an integer of {n.bit_length()} bits" if isinstance(x, Integral) and n.bit_length() > 64 else repr(x)
-        raise ValueError(f"{name} must be {what}, got {shown}")
+        raise ValueError(f"{name} must be {what}, got {_shown(x)}")
     return n
 
 

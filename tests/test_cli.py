@@ -924,11 +924,6 @@ def run_fresh(*argv, env=None, stdout=subprocess.PIPE) -> subprocess.CompletedPr
 LAYERS = ["renyi2.chsh", "renyi2.experiment", "renyi2.fock", "renyi2.qstate", "renyi2.two_copy"]
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    out = run_fresh("-c", "import sys, renyi2.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))").stdout
-    assert out == "[]\n"
-
-
 def test_package_import_loads_neither_numpy_nor_a_layer():
     out = run_fresh("-c", "import sys, renyi2; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'renyi2'))))").stdout
     assert out == "['renyi2']\n"

@@ -101,7 +101,7 @@ def test_run_config_normalizes_accepted_numbers():
 
 def test_detector_models_are_the_keys_of_the_correction_table():
     assert DETECTOR_MODELS == ("number_resolving", "bucket_with_pbs")
-    assert DETECTOR_MODELS == tuple(experiment._CORRECTION_FACTORS)
+    assert DETECTOR_MODELS == tuple(experiment._KEEP)
 
 
 def test_correction_factors_per_detector_model():

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
@@ -223,6 +224,11 @@ def test_random_density_rejects_zero_components():
         random_density(2, 2, rng, components=0)
 
 
+# Fractions that read as floats (1.0 and 1.5) but whose numerators have 5001 digits, too many for str()
+NEAR_ONE = Fraction(10**5000 + 1, 10**5000)
+NEAR_THREE_HALVES = Fraction(3 * 10**5000 + 1, 2 * 10**5000)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -237,11 +243,22 @@ def test_random_density_rejects_zero_components():
             "components must be a positive integer below 2**63, got 1.5",
         ),
         (lambda: random_density(0.5, 2, np.random.default_rng(0)), "dim_a must be a positive integer below 2**63, got 0.5"),
+        # 1 + 10**-5000 was read through a float and accepted as the seed 1
+        (lambda: RunConfig([0, 1], 10, seed=NEAR_ONE), "seed must be a 64-bit unsigned integer, got a Fraction"),
+        # 3/2 + 10**-5000 / 2 was shown by str(), which raised Python's unnamed "Exceeds the limit (4300 digits)"
+        (lambda: RunConfig([0, 1], 10, visibility=NEAR_THREE_HALVES), "visibility must be in [0, 1], got a Fraction"),
+        (
+            lambda: RunConfig([0, 1], NEAR_THREE_HALVES),
+            f"shots_per_phase must be a positive integer no larger than {MAX_SHOTS}, got a Fraction",
+        ),
     ],
-    ids=["fractional-dim", "bool-dim", "zero-dim", "bool-p", "nan-p", "inf-p", "fractional-components", "fractional-random-dim"],
+    ids=[
+        "fractional-dim", "bool-dim", "zero-dim", "bool-p", "nan-p", "inf-p", "fractional-components", "fractional-random-dim",
+        "near-one-fraction-seed", "near-three-halves-fraction-visibility", "near-three-halves-fraction-shots",
+    ],
 )
 def test_refused_numbers_name_their_argument(call, message):
-    # each used to build a state whose later use raised TypeError, or read True as 1
+    # each used to build a state whose later use raised TypeError, read True as 1, or read a Fraction through a float
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -260,6 +277,10 @@ def test_integral_numbers_read_as_ints():
     assert np.allclose(partial_trace(rho, "A").matrix, np.eye(2) / 2, atol=1e-15)
     # one component is a pure state
     assert abs(purity(random_density(2, 2, np.random.default_rng(0), components=1.0)) - 1.0) < 1e-12
+    # an integral Fraction is read exactly: through a float, 2**60 + 1 became 2**60 and 2**53 + 1 became 2**53
+    cfg = RunConfig([0, 1], Fraction(2**60 + 1), seed=Fraction(2**53 + 1))
+    assert (cfg.shots_per_phase, cfg.seed) == (2**60 + 1, 2**53 + 1)
+    assert type(cfg.shots_per_phase) is type(cfg.seed) is int
 
 
 @pytest.mark.parametrize(
