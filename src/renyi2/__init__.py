@@ -24,7 +24,7 @@ _EXPORTS = {
         "CollisionProbabilities", "WitnessVerdict", "collision_probabilities", "collision_quadruples",
         "entropic_witness", "purities_from_probabilities", "witness_margins",
     ),
-    "chsh": ("CorrelationMatrix", "KERNEL_BACKEND", "correlation_matrix", "max_chsh", "max_chsh_values"),
+    "chsh": ("KERNEL_BACKEND", "correlation_matrix", "max_chsh", "max_chsh_values"),
     "fock": ("coincidence_curves", "outcome_curves"),
     "experiment": (
         "FitResult", "RunConfig", "estimate_probabilities", "fit_interference", "simulate_counts",

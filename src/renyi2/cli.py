@@ -246,7 +246,9 @@ def cmd_simulate(args) -> int:
     fields = experiment.RunConfig.__slots__
     unknown = sorted(set(raw).difference(fields))
     if unknown:
-        raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+        # a name that would break the one error line is shown by its repr
+        shown = (name if name.isprintable() else repr(name) for name in unknown)
+        raise ValueError(f"unknown config field(s): {', '.join(shown)}")
     # the fields before those RunConfig gives a default
     required = fields[: len(fields) - len(experiment.RunConfig.__init__.__defaults__)]
     missing = [name for name in required if name not in raw]

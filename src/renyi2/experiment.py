@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .fock import CHANNELS, outcome_curves
-from .qstate import MAX_GRID_POINTS, _integer, _numbers, _probability, _Record, _require_all
+from .qstate import MAX_GRID_POINTS, _integer, _numbers, _probability, _Record, _require_all, _shown
 from .two_copy import CollisionProbabilities, entropic_witness
 
 # columns of one row of the report's count table
@@ -53,7 +53,7 @@ def _correction_factors(detector_model: str) -> np.ndarray:
     try:
         keep = _KEEP[detector_model]
     except (KeyError, TypeError):
-        raise ValueError(f"detector_model must be one of {DETECTOR_MODELS}, got {detector_model!r}") from None
+        raise ValueError(f"detector_model must be one of {DETECTOR_MODELS}, got {_shown(detector_model)}") from None
     factors = 1.0 / np.array([*keep, 1.0, 1.0])
     factors.flags.writeable = False
     return factors

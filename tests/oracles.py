@@ -163,7 +163,7 @@ def settings_scan_max_chsh(rho) -> float:
     the incumbent. Angles may wander outside the principal ranges during
     refinement; the parametrization stays a unit vector, so none is clamped.
     """
-    t = correlation_matrix(rho).t
+    t = correlation_matrix(rho)
     th = np.linspace(0.0, np.pi, 10)
     ph = np.arange(0.0, 2.0 * np.pi, SCAN_COARSE_STEP)
     val, i1, j1, i2, j2 = _scan(t, th, ph, th, ph)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from renyi2.chsh import CorrelationMatrix, correlation_matrix, max_chsh
+from renyi2.chsh import _correlations, correlation_matrix, max_chsh
 from renyi2.qstate import make_density, random_density, singlet, tensor, werner
 
 from oracles import kron_correlation_matrix, settings_scan_max_chsh
@@ -11,18 +11,18 @@ SQRT2 = np.sqrt(2.0)
 
 def test_correlation_matrix_singlet():
     # <sigma_i kron sigma_j> = -delta_ij on the singlet
-    t = correlation_matrix(singlet()).t
+    t = correlation_matrix(singlet())
     assert np.allclose(t, -np.eye(3), atol=1e-12)
 
 
 def test_correlation_matrix_maximally_mixed():
-    t = correlation_matrix(make_density(np.eye(4) / 4.0, 2, 2)).t
+    t = correlation_matrix(make_density(np.eye(4) / 4.0, 2, 2))
     assert np.max(np.abs(t)) < 1e-12
 
 
 @pytest.mark.parametrize("p", [0.0, 0.25, 0.7, 1.0])
 def test_correlation_matrix_werner_is_linear_in_p(p):
-    t = correlation_matrix(werner(p)).t
+    t = correlation_matrix(werner(p))
     assert np.allclose(t, -p * np.eye(3), atol=1e-12)
 
 
@@ -33,17 +33,17 @@ def test_correlation_matrix_rejects_wrong_dimensions():
         correlation_matrix(tensor(singlet(), singlet()))
 
 
-def test_correlation_matrix_validation():
-    with pytest.raises(ValueError, match="\\[-1, 1\\]"):
-        CorrelationMatrix(1.5 * np.eye(3))
-
-
-def test_correlation_matrix_rejects_nan():
-    # this used to reach the SVD and raise "SVD did not converge"
-    t = np.eye(3) * 0.5
-    t[1, 2] = np.nan
-    with pytest.raises(ValueError, match="correlation matrix t must be finite"):
-        CorrelationMatrix(t)
+def test_correlation_matrix_is_the_kernels_row_read_only():
+    # the single-state call and the stacked kernel run the same einsum, bit for bit
+    rng = np.random.default_rng(808)
+    states = [random_density(2, 2, rng, components=int(rng.integers(1, 5))) for _ in range(50)]
+    t, _ = _correlations([rho.matrix for rho in states], 2, 2)
+    for k, rho in enumerate(states):
+        got = correlation_matrix(rho)
+        assert got.shape == (3, 3) and got.dtype == np.float64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, t[k])
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 0.0
 
 
 def test_correlation_matrix_matches_kron_oracle_on_random_states():
@@ -51,7 +51,7 @@ def test_correlation_matrix_matches_kron_oracle_on_random_states():
     rng = np.random.default_rng(909)
     for _ in range(200):
         rho = random_density(2, 2, rng, components=int(rng.integers(1, 6)))
-        assert np.max(np.abs(correlation_matrix(rho).t - kron_correlation_matrix(rho))) < 1e-14
+        assert np.max(np.abs(correlation_matrix(rho) - kron_correlation_matrix(rho))) < 1e-14
 
 
 def test_max_chsh_singlet_reaches_tsirelson():

@@ -461,8 +461,9 @@ def test_simulate_config_validation_messages(capsys, tmp_path):
         ('{"phi_grid": [0, 1, 2, 3], "shots_per_phase": Infinity}', "shots_per_phase"),
         ('{"phi_grid": [0, 1, 2, 3], "shots_per_phase": 1e30}', "shots_per_phase"),
         ('{"phi_grid": 1.5, "shots_per_phase": 100}', "phi_grid"),
+        ('{"phi_grid": [0, 1, 2, 3], "shots_per_phase": 100, "bad\\nkey": 1}', "unknown config field(s): 'bad\\nkey'"),
     ],
-    ids=["nan-phase", "infinite-phase", "infinite-shots", "huge-shots", "scalar-grid"],
+    ids=["nan-phase", "infinite-phase", "infinite-shots", "huge-shots", "scalar-grid", "newline-in-field-name"],
 )
 def test_simulate_rejects_bad_config_with_one_error_line(capsys, tmp_path, raw_config, field):
     cfg = tmp_path / "run.json"
@@ -471,6 +472,24 @@ def test_simulate_rejects_bad_config_with_one_error_line(capsys, tmp_path, raw_c
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert field in err and "missing" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_shows_unknown_field_names_that_would_break_the_line_by_repr(capsys, tmp_path):
+    # a name str.isprintable() refuses is shown by its repr; a printable one, ASCII or not, as it is
+    cfg = write_config(tmp_path / "run.json", **{"bad\nkey": 1, "tab\t": 2, "café": 3})
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config field(s): 'bad\\nkey', café, 'tab\\t'\n"
+
+
+def test_simulate_shows_a_refused_detector_model_briefly(capsys, tmp_path):
+    # the refusal printed the whole repr: a 2000-entry list made an 11 kB line
+    for model, shown in ((["bucket_with_pbs"] * 2000, "a list"), ("kaleidoscope", "'kaleidoscope'")):
+        cfg = write_config(tmp_path / "run.json", detector_model=model)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"error: detector_model must be one of ('number_resolving', 'bucket_with_pbs'), got {shown}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -576,8 +595,9 @@ def _replaced(data, path, value):
 
 @st.composite
 def corrupted(draw, data):
-    """data with zero to two values set to junk or dropped, an unknown field
-    added, or the whole of it replaced by junk."""
+    """data with zero to two values set to junk or dropped, a field of any name
+    but data's own added, or the whole of it replaced by junk."""
+    fields = set(data)
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(data)) or [None]))
         if path is None:
@@ -587,7 +607,7 @@ def corrupted(draw, data):
         else:
             data = _replaced(data, path, draw(JUNK))
     if draw(st.integers(0, 9)) == 0:
-        data = dict(data, knob=1)
+        data = {**data, draw(st.text(max_size=4).filter(lambda name: name not in fields)): 1}
     return draw(JUNK) if draw(st.integers(0, 9)) == 0 else data
 
 
@@ -1078,7 +1098,7 @@ for name in renyi2.__all__:
 print(json.dumps([wrong, sorted(set(renyi2.__all__) - set(dir(renyi2))), len(renyi2.__all__)]))
 """
     wrong, undisclosed, n = json.loads(run_fresh("-c", code).stdout)
-    assert wrong == [] and undisclosed == [] and n == 33  # 32 names and __version__
+    assert wrong == [] and undisclosed == [] and n == 32  # 31 names and __version__
 
 
 # runs purity and simulate (which loads numpy.random) through the console-script

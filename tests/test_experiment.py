@@ -110,8 +110,19 @@ def test_correction_factors_per_detector_model():
         factors = _correction_factors(model)
         assert factors.dtype == np.float64 and not factors.flags.writeable
         np.testing.assert_array_equal(factors, want)
-    for bad in ("kaleidoscope", None, ["bucket_with_pbs"]):
-        with pytest.raises(ValueError, match="detector_model"):
+    # a refused model is shown as every refused value is: by a short repr, else by its type
+    deep = []
+    for _ in range(950):
+        deep = [deep]
+    for bad, shown in (
+        ("kaleidoscope", "'kaleidoscope'"),
+        (None, "None"),
+        (["bucket_with_pbs"], "['bucket_with_pbs']"),
+        (["bucket_with_pbs"] * 2000, "a list"),
+        (deep, "a list"),
+    ):
+        want = f"detector_model must be one of {DETECTOR_MODELS}, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             _correction_factors(bad)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyi2.chsh import CorrelationMatrix, max_chsh_values
+from renyi2.chsh import max_chsh_values
 from renyi2.experiment import MAX_SHOTS, RunConfig, estimate_probabilities, fit_interference, outcome_distributions
 from renyi2.fock import coincidence_curves, outcome_curves
 from renyi2.qstate import (
@@ -510,7 +510,6 @@ LIBRARY_ARRAYS = {
     "CollisionProbabilities": ("collision probabilities", float, (4,), True, lambda q: CollisionProbabilities(*q)),
     "witness_margins": ("quadruples", float, (2, 4), False, witness_margins),
     "entropic_witness-sigma": ("sigma", float, (4,), False, lambda s: entropic_witness(SURE, s)),
-    "CorrelationMatrix": ("correlation matrix t", float, (3, 3), False, CorrelationMatrix),
     "outcome_curves": ("phi", float, (4,), False, outcome_curves),
     "coincidence_curves": ("phi", float, (4,), False, coincidence_curves),
     "estimate_probabilities-phi": (

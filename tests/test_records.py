@@ -1,10 +1,10 @@
-"""The contract of the seven public records and the Fock network oracle's two.
+"""The contract of the six public records and the Fock network oracle's two.
 
 Each record takes its fields positionally or by keyword, refuses assignment
 and deletion, rebuilds through pickle and copy.deepcopy, prints as
 Name(field=value, ...), and compares either by field values (RunConfig,
 CollisionProbabilities, WitnessVerdict, ModeIndex, CoincidenceRecord) or by
-identity (the other four).
+identity (the other three).
 """
 
 import copy
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from fock_network import CoincidenceRecord, ModeIndex, Polarization
-from renyi2.chsh import CorrelationMatrix
 from renyi2.experiment import ChannelEstimate, FitResult, RunConfig
 from renyi2.qstate import DensityOperator, SINGLET_VEC
 from renyi2.two_copy import CollisionProbabilities, WitnessVerdict, entropic_witness
@@ -53,7 +52,6 @@ RECORDS = {
         },
         True,
     ),
-    "CorrelationMatrix": (CorrelationMatrix, {"t": -0.5 * np.eye(3)}, False),
     "RunConfig": (
         RunConfig,
         {
@@ -176,7 +174,6 @@ def test_records_normalize_their_fields():
     rho = DensityOperator(2.0, np.int64(2), (np.eye(4) / 4).tolist())
     assert type(rho.dim_a) is int and type(rho.dim_b) is int
     assert rho.matrix.dtype == complex and not rho.matrix.flags.writeable
-    assert not CorrelationMatrix(np.eye(3).tolist()).t.flags.writeable
 
     config = RunConfig(np.array([0, 1]), 100.0, seed=np.uint64(5))
     assert config.phi_grid == (0.0, 1.0) and all(type(x) is float for x in config.phi_grid)

@@ -157,6 +157,14 @@ def test_stacked_kernels_name_the_bad_index(n, data):
         max_chsh_values(m, 2, 2)
 
 
+def test_max_chsh_values_refuses_a_tensor_whose_largest_singular_value_exceeds_one():
+    # Hermitian and trace one, not a state: t = [[1, 1, 0], [1, -1, 0], [0, 0, 0]] keeps every
+    # entry in [-1, 1], so only the singular-value check can refuse it (s_1 = sqrt 2)
+    m = np.array([[1, 0, 0, 2 - 2j], [0, 1, 0, 0], [0, 0, 1, 0], [2 + 2j, 0, 0, 1]]) / 4
+    with pytest.raises(ValueError, match=r"^stack index 0: largest singular value 1\.4142135623730951 exceeds 1$"):
+        max_chsh_values(m[None], 2, 2)
+
+
 def test_stacked_kernels_reject_wrong_dimensions():
     stack = werner_stack([0.2, 0.8])
     with pytest.raises(ValueError, match=r"^matrix must form an array of shape \(n, 4, 4\), got shape \(4, 4\)$"):
