@@ -152,11 +152,9 @@ def _load_matrix_file(path: str) -> "qstate.DensityOperator":
 
 
 def _parse_grid(spec: str) -> "qstate.np.ndarray":
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:n, got {spec!r}")
     try:
-        start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, n = spec.split(":")  # a wrong number of parts is a ValueError too
+        start, stop, n = float(start), float(stop), int(n)
     except ValueError:
         raise ValueError(f"grid must look like start:stop:n, got {spec!r}") from None
     start = float(qstate._numbers("grid start", start, float, ()))
@@ -270,15 +268,11 @@ def cmd_simulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are one `error: ...` line, exit 2, and whose
-    help, when stdout cannot be written, raises the OSError that argparse would swallow."""
+    """An ArgumentParser whose usage errors raise ValueError, for main to refuse as any input, and
+    whose help, when stdout cannot be written, raises the OSError that argparse would swallow."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
-
-    def exit(self, status=0, message=None):
-        sys.stdout.flush()  # a buffered help fails here, not at interpreter exit
-        super().exit(status, message)
+        raise ValueError(message)
 
     def _print_message(self, message, file=None):
         if message:
@@ -321,27 +315,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main cuts a refusal's message to this many characters, as it may echo an input of any length
+_MAX_SHOWN = 400
+
+
 def _release_stdout() -> None:
     """Flush stdout; if it cannot be written, point its file descriptor at os.devnull (what the io docs
     advise for a broken pipe), so the interpreter's own flush at exit has nothing left to fail on."""
     try:
         sys.stdout.flush()
     except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def main(argv=None) -> int:
+    """Run the command argv names; any refusal, a usage error included, is one `error:` line and exit 2."""
     try:
-        args = build_parser().parse_args(argv)
-        status = args.func(args)
-        sys.stdout.flush()  # a buffered stdout reports a write error here, not at interpreter exit
-        return status
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a buffered stdout, --help's included, reports a write error here
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > _MAX_SHOWN:
+            message = f"{message[:_MAX_SHOWN]}... ({len(message)} characters)"
+        print(f"error: {message}", file=sys.stderr)
         _release_stdout()
         return 2
 

@@ -284,6 +284,26 @@ _MAX_CONDITION = 1e12
 _MAX_PERIODS = 1000
 
 
+def _design(phi: np.ndarray) -> np.ndarray:
+    """The fit's (n, 3) design matrix [1, cos 2 phi, sin 2 phi] at the finite 1-D phases phi;
+    ValueError if the phases alone rule the fit out: fewer than 4 points, a phase beyond
+    _MAX_PERIODS periods of 0, a degenerate design, or a span below half a period."""
+    if len(phi) < 4:
+        raise ValueError(f"need at least 4 points, got {len(phi)}")
+    if np.abs(phi).max() > _MAX_PERIODS * np.pi:
+        raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
+    x = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
+    # judged on the phase geometry alone, as the weights can span decades at
+    # large N; checked before the span so a collapsed grid reports as degeneracy
+    cond = np.linalg.cond(x.T @ x)
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
+        raise ValueError(f"degenerate design matrix (condition number {cond:.3e})")
+    span = phi.max() - phi.min()
+    if span < np.pi / 2 - 1e-12:
+        raise ValueError(f"points span {span:.6g} rad, need at least half a period (pi/2)")
+    return x
+
+
 def fit_interference(phi, y, sigma) -> FitResult:
     """Weighted least squares of y = c0 + a*cos(2 phi) + b*sin(2 phi), with
     standard errors sigma; phi, y and sigma are 1-D arrays of one length.
@@ -298,21 +318,8 @@ def fit_interference(phi, y, sigma) -> FitResult:
     """
     sigma = _numbers("sigma", sigma, float, (None,))
     phi, y = _numbers("phi", phi, float, sigma.shape), _numbers("y", y, float, sigma.shape)
-    if len(phi) < 4:
-        raise ValueError(f"need at least 4 points, got {len(phi)}")
     _require_all(sigma > 0.0, lambda i: f"sigma must be positive, got {sigma[i]}", stacked=True)
-    if np.abs(phi).max() > _MAX_PERIODS * np.pi:
-        raise ValueError(f"phi must lie within {_MAX_PERIODS} periods of 0 (|phi| <= {_MAX_PERIODS} pi)")
-
-    x = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    # judged on the phase geometry alone, as the weights can span decades at
-    # large N; checked before the span so a collapsed grid reports as degeneracy
-    cond = np.linalg.cond(x.T @ x)
-    if not np.isfinite(cond) or cond > _MAX_CONDITION:
-        raise ValueError(f"degenerate design matrix (condition number {cond:.3e})")
-    span = phi.max() - phi.min()
-    if span < np.pi / 2 - 1e-12:
-        raise ValueError(f"points span {span:.6g} rad, need at least half a period (pi/2)")
+    x = _design(phi)
     # SVD of the whitened design: the normal equations would square its condition.
     # It whitens by sigma / unit, unit the power of two at or below the smallest
     # sigma, so no weight exceeds 1; the errors are scaled back exactly by unit.
@@ -358,7 +365,9 @@ def fit_interference(phi, y, sigma) -> FitResult:
 
 
 def witness_from_run(config: RunConfig) -> dict:
-    """Full pipeline: simulate the run's counts, then analyze_counts."""
+    """Full pipeline: simulate the run's counts, then analyze_counts; a grid the fit
+    refuses is refused before any count is drawn, in the fit's words."""
+    _design(np.array(config.phi_grid))
     return analyze_counts(config, simulate_counts(config))
 
 

@@ -483,6 +483,25 @@ def test_simulate_shows_unknown_field_names_that_would_break_the_line_by_repr(ca
     assert err == "error: unknown config field(s): 'bad\\nkey', café, 'tab\\t'\n"
 
 
+@pytest.mark.parametrize(
+    "n, stop, detector_model, message",
+    [
+        (3, 1.6, "number_resolving", "need at least 4 points, got 3"),
+        (200_000, 1.0, "bucket_with_pbs", "points span 1 rad, need at least half a period (pi/2)"),
+    ],
+    ids=["three-phases", "narrow-span"],
+)
+def test_simulate_refuses_an_unfittable_grid_before_the_draw(monkeypatch, tmp_path, n, stop, detector_model, message):
+    # the fit refused these grids only after every count was drawn: 1.8 s and 112 MB for the narrow span
+    def no_draw(config):
+        raise AssertionError("simulate_counts ran")
+
+    monkeypatch.setattr(cli.experiment, "simulate_counts", no_draw)
+    raw = {"phi_grid": np.linspace(0.0, stop, n).tolist(), "shots_per_phase": 1000, "detector_model": detector_model}
+    assert run_simulate(raw, tmp_path) == (2, f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_shows_a_refused_detector_model_briefly(capsys, tmp_path):
     # the refusal printed the whole repr: a 2000-entry list made an 11 kB line
     for model, shown in ((["bucket_with_pbs"] * 2000, "a list"), ("kaleidoscope", "'kaleidoscope'")):
@@ -554,7 +573,7 @@ def test_phase_scan_rejects_non_finite_grid_bounds(capsys):
 # JSON values that no field accepts, or that one accepts only at the edge of its range
 JUNK_VALUES = [
     float("nan"), float("inf"), -float("inf"), 1e30, -1e30, 2**70, -(2**70),
-    True, False, None, "", "2", [], [1, 2], [[0.5]], {"a": 1},
+    True, False, None, "", "2", "x" * 100_000, [], [1, 2], [[0.5]], {"a": 1},
 ]
 JUNK = st.one_of(
     st.sampled_from(JUNK_VALUES),
@@ -607,7 +626,8 @@ def corrupted(draw, data):
         else:
             data = _replaced(data, path, draw(JUNK))
     if draw(st.integers(0, 9)) == 0:
-        data = {**data, draw(st.text(max_size=4).filter(lambda name: name not in fields)): 1}
+        names = st.one_of(st.text(max_size=4), st.just("x" * 100_000))
+        data = {**data, draw(names.filter(lambda name: name not in fields)): 1}
     return draw(JUNK) if draw(st.integers(0, 9)) == 0 else data
 
 
@@ -619,11 +639,16 @@ def run_in_process(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse exits on usage errors and --help
+            except SystemExit as exc:  # argparse exits on --help
                 code = exc.code
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     return code, err.getvalue()
+
+
+# a refusal line is "error: ", then its message, cut to its first 400 characters
+# and "... (N characters)" when longer
+MAX_ERROR_LINE = len("error: ") + 400 + len(f"... ({sys.maxsize} characters)\n")
 
 
 def assert_contract(code, err, what):
@@ -632,6 +657,7 @@ def assert_contract(code, err, what):
     else:
         assert code == 2, what
         assert err.startswith("error:") and err.count("\n") == 1, (what, err)
+        assert len(err) <= MAX_ERROR_LINE, (what, len(err))
 
 
 def run_simulate(raw, tmp):
@@ -692,14 +718,37 @@ def test_a_file_holding_an_integer_beyond_4300_digits_is_named(tmp_path, what, t
         ["purity", "--state", "singlet", "--format", "xml"],
         ["phase-scan", "--grid"],
         ["werner-scan", "--pmin", "0", "--colour", "red"],
+        # each refusal below echoed its 100,000 characters whole
+        ["werner-scan", "--steps", "9" * 100_000],
+        ["simulate", "--config", "run.json", "--out", "o", "--seed", "9" * 100_000],
+        ["x" * 100_000],
+        ["purity", "--state", "werner:" + "x" * 100_000],
+        ["purity", "--state", "x" * 100_000],
+        ["phase-scan", "--grid", "x" * 100_000],
+        ["phase-scan", "--grid", "0:1:" + "9" * 100_000],
+        ["purity", "--state", "file:" + "p" * 100_000],
     ],
-    ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-flags", "bad-choice", "missing-value", "unknown-flag"],
+    ids=[
+        "bad-int", "unknown-subcommand", "no-subcommand", "missing-flags", "bad-choice", "missing-value",
+        "unknown-flag", "long-steps", "long-seed", "long-subcommand", "long-werner", "long-family", "long-grid",
+        "long-grid-size", "long-path",
+    ],
 )
 def test_bad_argv_gives_one_error_line(argv):
     # argparse printed a usage block before its error line
     code, err = run_in_process(argv)
     assert code == 2
     assert_contract(code, err, argv)
+
+
+def test_a_usage_error_returns_2_in_process_and_help_still_exits_0(capsys):
+    # a usage error raised SystemExit(2) out of an in-process main
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument subcommand: invalid choice: 'bogus'") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: renyi2")
 
 
 def test_simulate_refuses_phases_whose_double_overflows(tmp_path):
